@@ -10,7 +10,7 @@ view onto [0, 1].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,7 +69,7 @@ def behavior_variation(b0: BehaviorVector, b1: BehaviorVector) -> float:
     return float(d @ d)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AgentProfile:
     g_f: float
     g_c: float
@@ -77,6 +77,12 @@ class AgentProfile:
     tau_i: int          # horizon in slots, >= 1
     alpha_i: float      # risk aversion, 1/currency
     institutional: bool
+    minutes: int = field(init=False)   # horizon in whole minutes, >= 1
+    total: float = field(init=False)   # g_f + g_c + g_n, the estimate's divisor
+
+    def __post_init__(self):
+        object.__setattr__(self, "minutes", max(1, round(self.tau_i / 60)))
+        object.__setattr__(self, "total", self.g_f + self.g_c + self.g_n)
 
 
 @dataclass
@@ -185,35 +191,17 @@ class MinuteHistory:
         return max(0.0, syy / k - (sy / k) ** 2)
 
 
-def estimate_price(profile: AgentProfile, history: MinuteHistory, mid: float,
-                   fundamental_now: float, sigma_noise: float,
-                   rng: np.random.Generator) -> float:
-    """Composite price estimate: weighted mix of the fundamental value, a
-    chartist OLS extrapolation, and a truncated-Gaussian noise estimate.
-
-    Prices here are in currency units. The chartist looks back (and ahead)
-    over the agent's horizon expressed in minutes; with fewer than two
-    history points it falls back to the current mid.
-    """
-    total = profile.g_f + profile.g_c + profile.g_n
-    if total <= 0:
-        raise ValueError("agent has zero total type weight")
-    p_f = fundamental_now
-    minutes = max(1, round(profile.tau_i / 60))
-    if len(history) >= 2:
-        p_c = history.trailing_ols(max(2, minutes), minutes)
-        if p_c <= 0:
-            p_c = mid
-    else:
-        p_c = mid
-    p_n = mid
-    for _ in range(8):
-        draw = rng.normal(mid, sigma_noise)
-        if draw > 0:
-            p_n = draw
-            break
-    est = (profile.g_f * p_f + profile.g_c * p_c + profile.g_n * p_n) / total
-    return max(est, 1e-9)
+def trailing_stats(history: MinuteHistory, minutes: int, var_floor: float,
+                   var_cap: float) -> tuple[float, float]:
+    """The chartist price and mid variance an agent with a `minutes`
+    horizon reads off the history: the OLS line over the trailing
+    max(2, minutes) points extrapolated `minutes` ahead (0.0 below two
+    points, which `make_order` replaces by the mid), and the trailing
+    variance clipped to [var_floor, var_cap]. Without the cap a volatility
+    spike collapses every target holding toward zero and the all-sell
+    feedback crashes the market."""
+    p_c = history.trailing_ols(max(2, minutes), minutes) if len(history) >= 2 else 0.0
+    return p_c, min(max(history.trailing_var(minutes), var_floor), var_cap)
 
 
 def desired_holding(p_hat: float, price: float, alpha_i: float, var_mid: float) -> float:
@@ -221,11 +209,6 @@ def desired_holding(p_hat: float, price: float, alpha_i: float, var_mid: float) 
     if price <= 0:
         raise ValueError("candidate price must be positive")
     return math.log(p_hat / price) / (alpha_i * var_mid * price)
-
-
-def _round_lots(x: float) -> int:
-    # round-half-to-even, matching builtin round on floats
-    return round(x)
 
 
 @dataclass(frozen=True)
@@ -236,26 +219,37 @@ class OrderIntent:
 
 
 def make_order(profile: AgentProfile, account: AgentAccount, *,
-               mid: float, history: MinuteHistory, fundamental_now: float,
-               sigma_noise: float, var_floor: float, var_cap: float,
-               lambda_band: float, tick_size: float, lot_size: int,
-               rng: np.random.Generator) -> OrderIntent | None:
+               mid: float, p_c: float, var: float, fundamental_now: float,
+               sigma_noise: float, band: tuple[float, float], tick_size: float,
+               lot_size: int, rng: np.random.Generator) -> OrderIntent | None:
     """One wake-up decision: a single limit order (or nothing).
 
-    The candidate price is uniform in a +-lambda band around the mid; the
-    CARA demand at that price, net of current holdings, sets side and
-    size; budget/inventory clamps keep the account invariants intact.
-    The mid variance is clipped to [var_floor, var_cap]: without the cap a
-    volatility spike collapses every agent's target holding toward zero
-    and the all-sell feedback crashes the market.
+    The price estimate mixes, by type weight, the fundamental value, the
+    chartist price `p_c` (the mid if non-positive) and the first positive
+    of up to eight N(mid, sigma_noise) draws (else the mid). `p_c` and the
+    clipped mid variance `var` come from `trailing_stats`. The candidate
+    price is uniform in `band` = (low, high) times the mid; the CARA demand
+    there, rounded half to even and net of holdings, sets side and size;
+    budget/inventory clamps keep the account invariants intact.
     """
-    p_hat = estimate_price(profile, history, mid, fundamental_now, sigma_noise, rng)
-    minutes = max(1, round(profile.tau_i / 60))
-    var = min(max(history.trailing_var(minutes), var_floor), var_cap)
-    price = mid * rng.uniform(1.0 - lambda_band, 1.0 + lambda_band)
-    price_ticks = max(1, round(price / tick_size))
+    if profile.total <= 0:
+        raise ValueError("agent has zero total type weight")
+    if p_c <= 0:
+        p_c = mid
+    # the same draws as rng.normal(mid, sigma_noise) and rng.uniform(*band),
+    # without their argument handling
+    p_n = mid
+    for _ in range(8):
+        draw = mid + sigma_noise * rng.standard_normal()
+        if draw > 0:
+            p_n = draw
+            break
+    p_hat = max((profile.g_f * fundamental_now + profile.g_c * p_c
+                 + profile.g_n * p_n) / profile.total, 1e-9)
+    low, high = band
+    price_ticks = max(1, round(mid * (low + (high - low) * rng.random()) / tick_size))
     pi = desired_holding(p_hat, price_ticks * tick_size, profile.alpha_i, var)
-    delta = _round_lots(pi) - account.holdings
+    delta = round(pi) - account.holdings
     if delta > 0:
         size = min(delta, account.free_cash // (price_ticks * lot_size))
         if size < 1:

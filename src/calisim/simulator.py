@@ -47,7 +47,6 @@ class SimConfig:
     alpha_ref: float = 2.5e-5
     lambda_band: float = 0.05
     rng_seed: int = 0
-    tag: str = "composite-fcn-v1"   # label for the agent-mix ruleset
 
     def __post_init__(self):
         if self.slots_per_day < 60:
@@ -120,16 +119,6 @@ class OrderStream:
         return self.mid_minute * self.tick_size
 
 
-def fundamental_from_stream(stream: OrderStream) -> FundamentalSeries:
-    """Sample the per-minute mid on a ten-minute grid (left boundaries)."""
-    minutes = stream.mid_minute
-    n = len(minutes) // 10
-    if n < 1:
-        raise ValueError("stream shorter than one fundamental sample interval")
-    values = minutes[np.arange(n) * 10] * stream.tick_size
-    return FundamentalSeries(values)
-
-
 def settle(account: AgentAccount, trade: TradeEvent, side: Side, lot_size: int):
     """Apply one trade leg to an account; invariants are hard-asserted."""
     notional = trade.price * trade.size * lot_size
@@ -154,7 +143,13 @@ class _AgentState:
 
 def run_day(cfg: SimConfig, b: BehaviorVector, fund: FundamentalSeries,
             seed: int | None = None) -> OrderStream:
-    """Simulate one trading day and record the full order stream."""
+    """Simulate one trading day and record the full order stream.
+
+    Each wake-up calls `agents.make_order` once. `agents.trailing_stats`
+    depends only on the horizon in minutes, so it is computed once per
+    horizon and reused within the minute; the cache is dropped whenever
+    `MinuteHistory` appends, the only point where the history changes.
+    """
     global _SIM_CALLS
     _SIM_CALLS += 1
     if len(fund.values) != cfg.fundamental_len:
@@ -169,11 +164,14 @@ def run_day(cfg: SimConfig, b: BehaviorVector, fund: FundamentalSeries,
 
     book = Book(cfg.tick_size, cfg.lot_size, cfg.open_price_ticks)
     history = MinuteHistory()
+    stats: dict[int, tuple[float, float]] = {}   # trailing_stats by horizon in minutes
     stream = OrderStream(cfg.open_price, cfg.tick_size, cfg.lot_size,
                          cfg.slots_per_day, seed)
     mid_slot = np.empty(cfg.slots_per_day)
     mid_minute: list[float] = []
 
+    tick_size, lot_size = cfg.tick_size, cfg.lot_size
+    band = (1.0 - cfg.lambda_band, 1.0 + cfg.lambda_band)
     sigma_noise = 0.01 * cfg.open_price
     var_floor = 1e-8 * cfg.open_price ** 2
     var_cap = 1e-6 * cfg.open_price ** 2
@@ -189,43 +187,50 @@ def run_day(cfg: SimConfig, b: BehaviorVector, fund: FundamentalSeries,
 
     mid_cache = book.mid_price()  # valid until the next book operation
     for slot in range(cfg.slots_per_day):
-        if ptr < n_wakes and wake_slots[ptr] == slot:
-            mid = mid_cache * cfg.tick_size
+        if slot % FUNDAMENTAL_INTERVAL_SLOTS == 0:
             fund_now = fund.at_slot(slot)
+        if ptr < n_wakes and wake_slots[ptr] == slot:
+            mid = mid_cache * tick_size
             batch: list[tuple[int, list[int], LimitOrder | None]] = []
             while ptr < n_wakes and wake_slots[ptr] == slot:
                 a_idx = wake_agents[ptr]
                 ptr += 1
                 st = states[a_idx]
-                cancels = _stale_orders(st, book, slot)
+                profile = st.profile
+                cancels = _stale_orders(st, book, slot) if st.orders else []
+                cached = stats.get(profile.minutes)
+                if cached is None:
+                    cached = stats[profile.minutes] = ag.trailing_stats(
+                        history, profile.minutes, var_floor, var_cap)
+                p_c, var = cached
                 intent = ag.make_order(
-                    st.profile, st.account,
-                    mid=mid, history=history, fundamental_now=fund_now,
-                    sigma_noise=sigma_noise, var_floor=var_floor,
-                    var_cap=var_cap, lambda_band=cfg.lambda_band, tick_size=cfg.tick_size,
-                    lot_size=cfg.lot_size, rng=rng)
+                    profile, st.account, mid=mid, p_c=p_c, var=var,
+                    fundamental_now=fund_now, sigma_noise=sigma_noise, band=band,
+                    tick_size=tick_size, lot_size=lot_size, rng=rng)
                 order = None
                 if intent is not None:
                     order = LimitOrder(next_order_id, a_idx, intent.side,
                                        intent.price, intent.size, slot)
                     next_order_id += 1
                 batch.append((a_idx, cancels, order))
+            if len(batch) > 1:  # permutation(1) would draw nothing
+                batch = [batch[j] for j in rng.permutation(len(batch)).tolist()]
             touched = False
-            for j in rng.permutation(len(batch)):
-                a_idx, cancels, order = batch[j]
+            for a_idx, cancels, order in batch:
                 st = states[a_idx]
                 for oid in cancels:
-                    seq = _apply_cancel(st, book, oid, slot, seq, stream, cfg.lot_size)
+                    seq = _apply_cancel(st, book, oid, slot, seq, stream, lot_size)
                     touched = True
                 if order is not None:
-                    seq = _apply_place(states, book, order, slot, seq, stream, cfg.lot_size)
+                    seq = _apply_place(states, book, order, slot, seq, stream, lot_size)
                     touched = True
             if touched:
                 mid_cache = book.mid_price()
         mid_slot[slot] = mid_cache
         if (slot + 1) % SLOTS_PER_MINUTE == 0:
             mid_minute.append(mid_cache)
-            history.append(mid_cache * cfg.tick_size)
+            history.append(mid_cache * tick_size)
+            stats.clear()
 
     stream.mid_slot = mid_slot
     stream.mid_minute = np.array(mid_minute)

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-import conftest
+import acceptance_log
 import test_features as tf
 from calisim import autodiff as ad
 from calisim import harness
@@ -39,7 +39,7 @@ FUND_DIM = 6
 def report(num: int, name: str, ok: bool, detail: str):
     line = f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'} {name}: {detail}"
     print(line, flush=True)
-    conftest.acceptance_lines.append(line)
+    acceptance_log.lines.append(line)
     assert ok, line
 
 

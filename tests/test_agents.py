@@ -1,6 +1,6 @@
 """Agent population: behavior-vector bounds and metrics, folded-Laplacian
-type weights, derived horizon/risk-aversion identities, price estimation,
-CARA demand, and order-intent clamps."""
+type weights, derived horizon/risk-aversion identities, trailing history
+statistics, price estimation, CARA demand, and order-intent clamps."""
 
 import math
 
@@ -120,40 +120,96 @@ def ramp_history(n: int, start: float, slope: float) -> MinuteHistory:
     return h
 
 
+def decide(profile: AgentProfile, *, fundamental_now: float = 100.0, p_c: float = 0.0,
+           mid: float = 100.0, sigma_noise: float = 1.0, var: float = 1e-4,
+           account: AgentAccount | None = None, band=(0.95, 1.05), seed: int = 0):
+    """One make_order call with test defaults."""
+    account = account or AgentAccount(cash=10 ** 9, holdings=100)
+    return ag.make_order(profile, account, mid=mid, p_c=p_c, var=var,
+                         fundamental_now=fundamental_now, sigma_noise=sigma_noise,
+                         band=band, tick_size=0.01, lot_size=1,
+                         rng=np.random.default_rng(seed))
+
+
+def pure(kind: str, alpha: float = 1e-4) -> AgentProfile:
+    weights = {"f": (1.0, 0.0, 0.0), "c": (0.0, 1.0, 0.0), "n": (0.0, 0.0, 1.0)}[kind]
+    return AgentProfile(*weights, 600, alpha, False)
+
+
+def test_profile_derived_constants():
+    p = AgentProfile(0.5, 0.25, 2.0, 630, 1e-4, False)
+    assert p.minutes == 10 and p.total == 0.5 + 0.25 + 2.0    # round(10.5) is even
+    assert AgentProfile(1.0, 1.0, 1.0, 29, 1e-4, False).minutes == 1   # floored
+    assert AgentProfile(1.0, 1.0, 1.0, 3600, 1e-4, False).minutes == 60
+
+
 def test_chartist_ols_ramp_extrapolation():
-    """Pure chartist on a +0.1/min linear ramp ending at 100 with a
-    10-minute horizon estimates 100 + 0.1 * 10 = 101."""
-    profile = AgentProfile(g_f=0.0, g_c=1.0, g_n=0.0, tau_i=600,
-                           alpha_i=1e-4, institutional=False)
+    """A +0.1/min linear ramp ending at 100 read over a 10-minute horizon
+    extrapolates to 100 + 0.1 * 10 = 101, and a pure chartist decides on
+    exactly that price."""
+    profile = pure("c")
+    assert profile.minutes == 10
     history = ramp_history(30, 100.0 - 0.1 * 29, 0.1)  # ends exactly at 100
-    est = ag.estimate_price(profile, history, mid=100.0, fundamental_now=50.0,
-                            sigma_noise=1.0, rng=np.random.default_rng(0))
-    assert est == pytest.approx(101.0)
+    p_c, _ = ag.trailing_stats(history, profile.minutes, 1e-4, 1e-2)
+    assert p_c == pytest.approx(101.0)
+    for seed in range(20):
+        assert decide(profile, p_c=p_c, seed=seed) == \
+            decide(pure("f"), fundamental_now=p_c, seed=seed)
 
 
 def test_fundamentalist_reads_fundamental():
-    profile = AgentProfile(1.0, 0.0, 0.0, 600, 1e-4, False)
-    est = ag.estimate_price(profile, MinuteHistory(), mid=100.0,
-                            fundamental_now=123.0, sigma_noise=1.0,
-                            rng=np.random.default_rng(0))
-    assert est == 123.0
+    """A fundamental-only agent's estimate is the fundamental itself,
+    whatever the chartist price and the mid-centred noise."""
+    for seed in range(20):
+        intent = decide(pure("f"), fundamental_now=123.0, p_c=80.0, seed=seed)
+        assert intent == decide(pure("c"), p_c=123.0, seed=seed)
+        assert intent == decide(pure("f"), fundamental_now=123.0, p_c=140.0, seed=seed)
+        assert intent is not None and intent.side is Side.BID
+        assert decide(pure("f"), fundamental_now=80.0, seed=seed).side is Side.ASK
 
 
-def test_noise_trader_positive_and_near_mid():
-    profile = AgentProfile(0.0, 0.0, 1.0, 600, 1e-4, False)
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        est = ag.estimate_price(profile, MinuteHistory(), mid=100.0,
-                                fundamental_now=50.0, sigma_noise=1.0, rng=rng)
-        assert est > 0
-        assert abs(est - 100.0) < 6.0
+def test_chartist_falls_back_to_mid_on_short_history():
+    """With fewer than two history points there is no extrapolation: the
+    chartist price is 0.0, which make_order replaces by the mid."""
+    for n in (0, 1):
+        p_c, _ = ag.trailing_stats(ramp_history(n, 120.0, 1.0), 10, 1e-4, 1e-2)
+        assert p_c == 0.0
+        for seed in range(10):
+            assert decide(pure("c"), p_c=p_c, mid=100.0, seed=seed) == \
+                decide(pure("f"), fundamental_now=100.0, seed=seed)
+
+
+def test_noise_estimate_is_first_positive_draw():
+    """A noise trader's estimate is the first positive of up to eight
+    N(mid, sigma) draws, else the mid: near a zero mid the draws are often
+    negative and the estimate still stays positive."""
+    mid, sigma = 0.05, 1.0
+    seen_late, seen_none = False, False
+    for seed in range(600):
+        draws = mid + sigma * np.random.default_rng(seed).standard_normal(8)
+        positive = draws[draws > 0]
+        estimate = float(positive[0]) if len(positive) else mid
+        seen_late |= len(positive) > 0 and draws[0] <= 0
+        seen_none |= len(positive) == 0
+        kw = dict(mid=mid, sigma_noise=sigma, var=1.0, seed=seed,
+                  account=AgentAccount(cash=10 ** 9, holdings=100))
+        assert decide(pure("n", alpha=0.2), **kw) == \
+            decide(pure("f", alpha=0.2), fundamental_now=estimate, **kw)
+    assert seen_late and seen_none   # both fallbacks were exercised
 
 
 def test_zero_total_weight_rejected():
-    profile = AgentProfile(0.0, 0.0, 0.0, 600, 1e-4, False)
-    with pytest.raises(ValueError):
-        ag.estimate_price(profile, MinuteHistory(), 100.0, 100.0, 1.0,
-                          np.random.default_rng(0))
+    with pytest.raises(ValueError, match="zero total type weight"):
+        decide(AgentProfile(0.0, 0.0, 0.0, 600, 1e-4, False))
+
+
+def test_trailing_stats_clips_variance():
+    flat = ramp_history(30, 100.0, 0.0)
+    assert ag.trailing_stats(flat, 10, 1e-4, 1e-2) == (100.0, 1e-4)   # floor
+    zigzag = MinuteHistory()
+    for i in range(30):
+        zigzag.append(100.0 + (-1.0) ** i)
+    assert ag.trailing_stats(zigzag, 10, 1e-4, 1e-2)[1] == 1e-2        # cap
 
 
 def test_trailing_ols_short_history_falls_back_to_last():
@@ -195,19 +251,24 @@ def test_desired_holding_signs_and_monotonicity():
 
 
 def test_sell_surplus_sizing():
-    """Holdings 10, target rounds 2.4 -> 2: the agent asks 8 lots."""
-    assert ag._round_lots(2.4) - 10 == -8
-    assert ag._round_lots(2.5) == 2  # round-half-to-even
-    assert ag._round_lots(3.5) == 4
+    """Holdings 10, CARA target 2.4 rounds to 2: the agent asks 8 lots.
+    Targets round half to even: 2.5 -> 2 (asks 8), 3.5 -> 4 (asks 6)."""
+    for target, size in ((2.4, 8), (2.5, 8), (3.5, 6)):
+        # estimate 2.0 at price 1.0 with unit variance: target log(2) / alpha
+        alpha = math.log(2.0) / target
+        assert desired_holding(2.0, 1.0, alpha, 1.0) == target
+        intent = decide(pure("f", alpha=alpha), fundamental_now=2.0, mid=1.0,
+                        var=1.0, band=(1.0, 1.0),
+                        account=AgentAccount(cash=10 ** 6, holdings=10))
+        assert intent == ag.OrderIntent(Side.ASK, 100, size)
 
 
 def make_order_once(account: AgentAccount, seed: int = 0):
     profile = AgentProfile(1.0, 0.0, 0.0, 600, 2.5e-5, False)
-    return ag.make_order(
-        profile, account, mid=100.0, history=ramp_history(30, 100.0, 0.0),
-        fundamental_now=110.0, sigma_noise=1.0, var_floor=1e-4, var_cap=1e-2,
-        lambda_band=0.05, tick_size=0.01, lot_size=1,
-        rng=np.random.default_rng(seed))
+    p_c, var = ag.trailing_stats(ramp_history(30, 100.0, 0.0), profile.minutes,
+                                 1e-4, 1e-2)
+    return decide(profile, fundamental_now=110.0, p_c=p_c, var=var,
+                  account=account, seed=seed)
 
 
 def test_make_order_buy_respects_budget():

@@ -11,7 +11,6 @@ from calisim.lob import Side, TradeEvent
 from calisim.simulator import (
     FundamentalSeries,
     SimConfig,
-    fundamental_from_stream,
     read_stream,
     replay,
     run_day,
@@ -57,24 +56,6 @@ def test_fundamental_series_validation_and_sampling():
 def test_run_day_rejects_wrong_fundamental_length():
     with pytest.raises(ValueError, match="fundamental length"):
         run_day(CFG, B_MID, FundamentalSeries(np.full(3, 100.0)), seed=0)
-
-
-def test_fundamental_from_stream_ramp():
-    """Per-minute mid ramping 100 -> 124 over 240 minutes samples its left
-    10-minute boundaries: 100, 101, ..., 123."""
-    s = sim.OrderStream(100.0, 0.01, 1, 14400, 0)
-    s.mid_minute = np.repeat(np.arange(100.0, 124.0), 10) / 0.01
-    fund = fundamental_from_stream(s)
-    assert np.allclose(fund.values, np.arange(100.0, 124.0))
-
-
-def test_fundamental_from_stream_flat_and_short():
-    s = sim.OrderStream(100.0, 0.01, 1, 14400, 0)
-    s.mid_minute = np.full(240, 10000.0)
-    assert np.allclose(fundamental_from_stream(s).values, np.full(24, 100.0))
-    s.mid_minute = np.full(9, 10000.0)
-    with pytest.raises(ValueError):
-        fundamental_from_stream(s)
 
 
 # -- settlement -----------------------------------------------------------------
