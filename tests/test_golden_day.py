@@ -1,6 +1,9 @@
-"""Golden days: SHA-256 digests of whole CI-profile days pin the simulator's
-output bit for bit, so a speed-up of the decision path or the slot loop
-cannot change an event, a mid or a feature without failing here.
+"""Golden days: SHA-256 digests of whole days pin the simulator's output bit
+for bit, so a speed-up of the decision path or the slot loop cannot change
+an event, a mid or a feature without failing here. Four days run at the ci
+profile; two more run in a market with other tick, lot, band, open-price
+and population settings, so the lot-sizing and price-grid paths are pinned
+too.
 
 The digests were computed with the straightforward per-wake decision path
 (every trailing statistic recomputed on every wake). Regenerate them only
@@ -18,6 +21,10 @@ from calisim.agents import BehaviorVector
 from calisim.simulator import FundamentalSeries, SimConfig, run_day
 
 CFG = SimConfig(slots_per_day=3600, n_agents=100)   # the ci profile's day
+# a non-ci market: multi-share lots, a coarser tick, a narrower price band,
+# a lower open and a smaller population
+ALT = SimConfig(slots_per_day=3600, n_agents=60, tick_size=0.05, lot_size=5,
+                open_price=50.0, lambda_band=0.02)
 
 
 def _fund(kind: str) -> FundamentalSeries:
@@ -62,4 +69,21 @@ GOLDEN = [
                          ids=[f"seed{g[2]}" for g in GOLDEN])
 def test_golden_day_digest(raw, fund, seed, digest):
     stream = run_day(CFG, BehaviorVector(*raw), _fund(fund), seed=seed)
+    assert day_digest(stream) == digest
+
+
+# (behavior, fundamental offsets from the open, seed) -> digest, at ALT
+GOLDEN_ALT = [
+    ((0.8, 1.2, 0.5, 900.0, 0.3), (0.0, 0.5, 1.0, 1.5, 2.0, 2.5), 5,
+     "f5e44d5cb169a967acdc5097cff6e1bd77c3b5512a6d38da294f3d990a5f81e0"),
+    ((1.8, 0.1, 1.1, 120.0, 0.05), (2.0, -1.5, 1.0, -2.5, 0.5, 0.0), 31,
+     "df8283697777786042c0bed7b9997f34114c0da3acedcaa31b04e11d6966e282"),
+]
+
+
+@pytest.mark.parametrize("raw, offsets, seed, digest", GOLDEN_ALT,
+                         ids=[f"seed{g[2]}" for g in GOLDEN_ALT])
+def test_golden_day_digest_non_ci_market(raw, offsets, seed, digest):
+    fund = FundamentalSeries(ALT.open_price + np.array(offsets))
+    stream = run_day(ALT, BehaviorVector(*raw), fund, seed=seed)
     assert day_digest(stream) == digest
