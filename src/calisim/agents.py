@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -162,46 +163,41 @@ class MinuteHistory:
     def __len__(self):
         return len(self.values)
 
-    def trailing_ols(self, window: int, ahead: int) -> float:
-        """OLS line over the trailing `window` points extrapolated
-        `ahead` steps past the last point."""
+    def trend(self, window: int, var_floor: float, var_cap: float,
+              ) -> tuple[float, float, int, float]:
+        """(intercept, slope, k, var): the chartist line and clipped mid
+        variance for an agent with a `window`-minute horizon.
+
+        The line is the OLS fit over the trailing k = min(max(2, window), n)
+        points, x = 0 at the first, so the chartist price `minutes` past the
+        last point is intercept + slope * (k - 1 + minutes); below two
+        points it is 0.0, which `make_order` replaces by the mid. `var` is
+        the variance of the trailing min(window, n) points (0.0 below two)
+        clipped to [var_floor, var_cap]: without the cap a volatility spike
+        collapses every target holding toward zero and the all-sell
+        feedback crashes the market. Both depend on `window` only through
+        min(window, n).
+        """
         n = len(self.values)
-        k = min(window, n)
-        a = n - k
-        sy = self._s0[n] - self._s0[a]
-        # sum of (i - a) * y over the window
-        sxy = (self._s1[n] - self._s1[a]) - a * sy
-        sx = k * (k - 1) / 2.0
-        sxx = (k - 1) * k * (2 * k - 1) / 6.0
-        denom = k * sxx - sx * sx
-        if denom <= 0:
-            return self.values[-1]
-        slope = (k * sxy - sx * sy) / denom
-        intercept = (sy - slope * sx) / k
-        return intercept + slope * (k - 1 + ahead)
-
-    def trailing_var(self, window: int) -> float:
-        n = len(self.values)
-        k = min(window, n)
-        if k < 2:
-            return 0.0
-        a = n - k
-        sy = self._s0[n] - self._s0[a]
-        syy = self._s2[n] - self._s2[a]
-        return max(0.0, syy / k - (sy / k) ** 2)
-
-
-def trailing_stats(history: MinuteHistory, minutes: int, var_floor: float,
-                   var_cap: float) -> tuple[float, float]:
-    """The chartist price and mid variance an agent with a `minutes`
-    horizon reads off the history: the OLS line over the trailing
-    max(2, minutes) points extrapolated `minutes` ahead (0.0 below two
-    points, which `make_order` replaces by the mid), and the trailing
-    variance clipped to [var_floor, var_cap]. Without the cap a volatility
-    spike collapses every target holding toward zero and the all-sell
-    feedback crashes the market."""
-    p_c = history.trailing_ols(max(2, minutes), minutes) if len(history) >= 2 else 0.0
-    return p_c, min(max(history.trailing_var(minutes), var_floor), var_cap)
+        s0, s1, s2 = self._s0, self._s1, self._s2
+        intercept, slope, k = 0.0, 0.0, 1
+        if n >= 2:
+            k = min(max(2, window), n)
+            a = n - k
+            sy = s0[n] - s0[a]
+            # sum of (i - a) * y over the window
+            sxy = (s1[n] - s1[a]) - a * sy
+            sx = k * (k - 1) / 2.0
+            sxx = (k - 1) * k * (2 * k - 1) / 6.0
+            slope = (k * sxy - sx * sy) / (k * sxx - sx * sx)
+            intercept = (sy - slope * sx) / k
+        var = 0.0
+        kv = min(window, n)
+        if kv >= 2:
+            a = n - kv
+            sy = s0[n] - s0[a]
+            var = max(0.0, (s2[n] - s2[a]) / kv - (sy / kv) ** 2)
+        return intercept, slope, k, min(max(var, var_floor), var_cap)
 
 
 def desired_holding(p_hat: float, price: float, alpha_i: float, var_mid: float) -> float:
@@ -211,8 +207,7 @@ def desired_holding(p_hat: float, price: float, alpha_i: float, var_mid: float) 
     return math.log(p_hat / price) / (alpha_i * var_mid * price)
 
 
-@dataclass(frozen=True)
-class OrderIntent:
+class OrderIntent(NamedTuple):
     side: Side
     price: int   # ticks
     size: int    # lots
@@ -227,37 +222,44 @@ def make_order(profile: AgentProfile, account: AgentAccount, *,
     The price estimate mixes, by type weight, the fundamental value, the
     chartist price `p_c` (the mid if non-positive) and the first positive
     of up to eight N(mid, sigma_noise) draws (else the mid). `p_c` and the
-    clipped mid variance `var` come from `trailing_stats`. The candidate
-    price is uniform in `band` = (low, high) times the mid; the CARA demand
-    there, rounded half to even and net of holdings, sets side and size;
-    budget/inventory clamps keep the account invariants intact.
+    clipped mid variance `var` come from `MinuteHistory.trend`. The
+    candidate price is uniform in `band` = (low, high) times the mid; the
+    CARA demand there, rounded half to even and net of holdings, sets side
+    and size; budget/inventory clamps keep the account invariants intact.
     """
-    if profile.total <= 0:
+    total = profile.total
+    if total <= 0:
         raise ValueError("agent has zero total type weight")
     if p_c <= 0:
         p_c = mid
     # the same draws as rng.normal(mid, sigma_noise) and rng.uniform(*band),
     # without their argument handling
-    p_n = mid
-    for _ in range(8):
-        draw = mid + sigma_noise * rng.standard_normal()
-        if draw > 0:
-            p_n = draw
-            break
-    p_hat = max((profile.g_f * fundamental_now + profile.g_c * p_c
-                 + profile.g_n * p_n) / profile.total, 1e-9)
+    normal = rng.standard_normal
+    p_n = mid + sigma_noise * normal()
+    draws = 1
+    while p_n <= 0 and draws < 8:
+        p_n = mid + sigma_noise * normal()
+        draws += 1
+    if p_n <= 0:
+        p_n = mid
+    p_hat = (profile.g_f * fundamental_now + profile.g_c * p_c
+             + profile.g_n * p_n) / total
+    if p_hat < 1e-9:
+        p_hat = 1e-9
     low, high = band
-    price_ticks = max(1, round(mid * (low + (high - low) * rng.random()) / tick_size))
+    price_ticks = round(mid * (low + (high - low) * rng.random()) / tick_size)
+    if price_ticks < 1:
+        price_ticks = 1
     pi = desired_holding(p_hat, price_ticks * tick_size, profile.alpha_i, var)
     delta = round(pi) - account.holdings
     if delta > 0:
-        size = min(delta, account.free_cash // (price_ticks * lot_size))
-        if size < 1:
-            return None
-        return OrderIntent(Side.BID, price_ticks, int(size))
+        size = account.free_cash // (price_ticks * lot_size)
+        if delta < size:
+            size = delta
+        return OrderIntent(Side.BID, price_ticks, size) if size >= 1 else None
     if delta < 0:
-        size = min(-delta, account.free_lots)
-        if size < 1:
-            return None
-        return OrderIntent(Side.ASK, price_ticks, int(size))
+        size = account.free_lots
+        if -delta < size:
+            size = -delta
+        return OrderIntent(Side.ASK, price_ticks, size) if size >= 1 else None
     return None

@@ -145,10 +145,11 @@ def run_day(cfg: SimConfig, b: BehaviorVector, fund: FundamentalSeries,
             seed: int | None = None) -> OrderStream:
     """Simulate one trading day and record the full order stream.
 
-    Each wake-up calls `agents.make_order` once. `agents.trailing_stats`
-    depends only on the horizon in minutes, so it is computed once per
-    horizon and reused within the minute; the cache is dropped whenever
-    `MinuteHistory` appends, the only point where the history changes.
+    Each wake-up calls `agents.make_order` once. `MinuteHistory.trend`
+    depends on an agent's horizon only through the effective window
+    min(minutes, len(history)), so it is computed once per window and
+    reused within the minute; the cache is dropped whenever `MinuteHistory`
+    appends, the only point where the history changes.
     """
     global _SIM_CALLS
     _SIM_CALLS += 1
@@ -164,10 +165,10 @@ def run_day(cfg: SimConfig, b: BehaviorVector, fund: FundamentalSeries,
 
     book = Book(cfg.tick_size, cfg.lot_size, cfg.open_price_ticks)
     history = MinuteHistory()
-    stats: dict[int, tuple[float, float]] = {}   # trailing_stats by horizon in minutes
+    trends: dict[int, tuple[float, float, int, float]] = {}  # by effective window
     stream = OrderStream(cfg.open_price, cfg.tick_size, cfg.lot_size,
                          cfg.slots_per_day, seed)
-    mid_slot = np.empty(cfg.slots_per_day)
+    mid_slot: list[float] = []
     mid_minute: list[float] = []
 
     tick_size, lot_size = cfg.tick_size, cfg.lot_size
@@ -185,6 +186,7 @@ def run_day(cfg: SimConfig, b: BehaviorVector, fund: FundamentalSeries,
     n_wakes = len(wake_slots)
     ptr = 0
 
+    n_hist = 0
     mid_cache = book.mid_price()  # valid until the next book operation
     for slot in range(cfg.slots_per_day):
         if slot % FUNDAMENTAL_INTERVAL_SLOTS == 0:
@@ -197,24 +199,26 @@ def run_day(cfg: SimConfig, b: BehaviorVector, fund: FundamentalSeries,
                 ptr += 1
                 st = states[a_idx]
                 profile = st.profile
-                cancels = _stale_orders(st, book, slot) if st.orders else []
-                cached = stats.get(profile.minutes)
-                if cached is None:
-                    cached = stats[profile.minutes] = ag.trailing_stats(
-                        history, profile.minutes, var_floor, var_cap)
-                p_c, var = cached
+                cancels = _stale_orders(st, slot) if st.orders else []
+                minutes = profile.minutes
+                window = minutes if minutes < n_hist else n_hist
+                trend = trends.get(window)
+                if trend is None:
+                    trend = trends[window] = history.trend(window, var_floor, var_cap)
+                intercept, slope, k, var = trend
                 intent = ag.make_order(
-                    profile, st.account, mid=mid, p_c=p_c, var=var,
+                    profile, st.account, mid=mid,
+                    p_c=intercept + slope * (k - 1 + minutes), var=var,
                     fundamental_now=fund_now, sigma_noise=sigma_noise, band=band,
                     tick_size=tick_size, lot_size=lot_size, rng=rng)
                 order = None
                 if intent is not None:
-                    order = LimitOrder(next_order_id, a_idx, intent.side,
-                                       intent.price, intent.size, slot)
+                    order = LimitOrder(next_order_id, a_idx, *intent, slot)
                     next_order_id += 1
                 batch.append((a_idx, cancels, order))
-            if len(batch) > 1:  # permutation(1) would draw nothing
-                batch = [batch[j] for j in rng.permutation(len(batch)).tolist()]
+            if len(batch) > 1:  # one entry: nothing to do, nothing drawn
+                # the same swaps, from the same draws, as rng.permutation
+                rng.shuffle(batch)
             touched = False
             for a_idx, cancels, order in batch:
                 st = states[a_idx]
@@ -226,46 +230,48 @@ def run_day(cfg: SimConfig, b: BehaviorVector, fund: FundamentalSeries,
                     touched = True
             if touched:
                 mid_cache = book.mid_price()
-        mid_slot[slot] = mid_cache
+        mid_slot.append(mid_cache)
         if (slot + 1) % SLOTS_PER_MINUTE == 0:
             mid_minute.append(mid_cache)
             history.append(mid_cache * tick_size)
-            stats.clear()
+            n_hist += 1
+            trends.clear()
 
-    stream.mid_slot = mid_slot
+    stream.mid_slot = np.array(mid_slot)
     stream.mid_minute = np.array(mid_minute)
     return stream
 
 
-def _stale_orders(st: _AgentState, book: Book, slot: int) -> list[int]:
+def _stale_orders(st: _AgentState, slot: int) -> list[int]:
+    """Ids of the agent's resting orders older than its horizon.
+
+    `st.orders` holds exactly the agent's resting orders (`_apply_place`
+    and `_apply_cancel` keep it so) in birth order, one order per slot at
+    most, so the stale orders are a prefix of it.
+    """
+    born_before = slot - st.profile.tau_i
     stale = []
-    dead = []
     for oid, order in st.orders.items():
-        if book.order(oid) is None:
-            dead.append(oid)
-        elif slot - order.birth_slot > st.profile.tau_i:
-            stale.append(oid)
-    for oid in dead:
-        del st.orders[oid]
+        if order.birth_slot >= born_before:
+            break
+        stale.append(oid)
     return stale
 
 
 def _apply_cancel(st: _AgentState, book: Book, oid: int, slot: int, seq: int,
                   stream: OrderStream, lot_size: int) -> int:
-    order = book.order(oid)
-    if order is None:
-        st.orders.pop(oid, None)
+    order = st.orders.pop(oid, None)   # the same object the book holds
+    if order is None:   # filled earlier in this slot's batch
         return seq
-    if book.cancel(oid):
-        if order.side is Side.BID:
-            st.account.reserved_cash -= order.price * order.size * lot_size
-        else:
-            st.account.reserved_lots -= order.size
-        st.orders.pop(oid, None)
-        stream.events.append(Event(slot, seq, "CANCEL", oid, order.agent,
-                                   int(order.side), 0, 0, -1))
-        seq += 1
-    return seq
+    cancelled = book.cancel(oid)
+    assert cancelled, "agent's resting orders out of step with the book"
+    if order.side is Side.BID:
+        st.account.reserved_cash -= order.price * order.size * lot_size
+    else:
+        st.account.reserved_lots -= order.size
+    stream.events.append(Event(slot, seq, "CANCEL", oid, order.agent,
+                               int(order.side), 0, 0, -1))
+    return seq + 1
 
 
 def _apply_place(states: list[_AgentState], book: Book, order: LimitOrder,
@@ -286,8 +292,8 @@ def _apply_place(states: list[_AgentState], book: Book, order: LimitOrder,
             settle(maker.account, tr, Side.BID, lot_size)
             maker.account.reserved_cash -= tr.price * tr.size * lot_size
             settle(taker.account, tr, Side.ASK, lot_size)
-        if book.order(tr.maker) is None:
-            maker.orders.pop(tr.maker, None)
+        if maker.orders[tr.maker].size == 0:   # filled: the book dropped it
+            del maker.orders[tr.maker]
         stream.events.append(Event(slot, seq, "TRADE", tr.maker, tr.maker_agent,
                                    int(order.side), tr.price, tr.size, tr.taker))
         seq += 1

@@ -120,6 +120,12 @@ def ramp_history(n: int, start: float, slope: float) -> MinuteHistory:
     return h
 
 
+def chartist_price(history: MinuteHistory, minutes: int) -> float:
+    """The chartist price run_day hands an agent with a `minutes` horizon."""
+    intercept, slope, k, _ = history.trend(min(minutes, len(history)), 1e-4, 1e-2)
+    return intercept + slope * (k - 1 + minutes)
+
+
 def decide(profile: AgentProfile, *, fundamental_now: float = 100.0, p_c: float = 0.0,
            mid: float = 100.0, sigma_noise: float = 1.0, var: float = 1e-4,
            account: AgentAccount | None = None, band=(0.95, 1.05), seed: int = 0):
@@ -150,7 +156,7 @@ def test_chartist_ols_ramp_extrapolation():
     profile = pure("c")
     assert profile.minutes == 10
     history = ramp_history(30, 100.0 - 0.1 * 29, 0.1)  # ends exactly at 100
-    p_c, _ = ag.trailing_stats(history, profile.minutes, 1e-4, 1e-2)
+    p_c = chartist_price(history, profile.minutes)
     assert p_c == pytest.approx(101.0)
     for seed in range(20):
         assert decide(profile, p_c=p_c, seed=seed) == \
@@ -172,7 +178,7 @@ def test_chartist_falls_back_to_mid_on_short_history():
     """With fewer than two history points there is no extrapolation: the
     chartist price is 0.0, which make_order replaces by the mid."""
     for n in (0, 1):
-        p_c, _ = ag.trailing_stats(ramp_history(n, 120.0, 1.0), 10, 1e-4, 1e-2)
+        p_c = chartist_price(ramp_history(n, 120.0, 1.0), 10)
         assert p_c == 0.0
         for seed in range(10):
             assert decide(pure("c"), p_c=p_c, mid=100.0, seed=seed) == \
@@ -203,19 +209,21 @@ def test_zero_total_weight_rejected():
         decide(AgentProfile(0.0, 0.0, 0.0, 600, 1e-4, False))
 
 
-def test_trailing_stats_clips_variance():
+def test_trend_clips_variance():
     flat = ramp_history(30, 100.0, 0.0)
-    assert ag.trailing_stats(flat, 10, 1e-4, 1e-2) == (100.0, 1e-4)   # floor
+    assert flat.trend(10, 1e-4, 1e-2) == (100.0, 0.0, 10, 1e-4)   # floor
     zigzag = MinuteHistory()
     for i in range(30):
         zigzag.append(100.0 + (-1.0) ** i)
-    assert ag.trailing_stats(zigzag, 10, 1e-4, 1e-2)[1] == 1e-2        # cap
+    assert zigzag.trend(10, 1e-4, 1e-2)[3] == 1e-2                 # cap
 
 
-def test_trailing_ols_short_history_falls_back_to_last():
-    h = MinuteHistory()
-    h.append(100.0)
-    assert h.trailing_ols(10, 5) == 100.0
+def test_trend_short_history_has_no_line():
+    """Below two points the line is 0.0 everywhere and the variance sits
+    at the floor."""
+    for n in (0, 1):
+        intercept, slope, _, var = ramp_history(n, 100.0, 1.0).trend(10, 1e-4, 1e-2)
+        assert (intercept, slope, var) == (0.0, 0.0, 1e-4)
 
 
 def test_trailing_var_matches_numpy():
@@ -224,7 +232,34 @@ def test_trailing_var_matches_numpy():
     vals = rng.normal(100, 2, 50)
     for v in vals:
         h.append(v)
-    assert h.trailing_var(20) == pytest.approx(np.var(vals[-20:]))
+    assert h.trend(20, 0.0, np.inf)[3] == pytest.approx(np.var(vals[-20:]))
+
+
+def test_trend_line_matches_polyfit():
+    """The line is the least-squares fit over the trailing k points with
+    x = 0 at the first: k is the window, at least 2 and at most the
+    history's length."""
+    vals = np.random.default_rng(5).normal(100, 2, 12)
+    h = MinuteHistory()
+    for v in vals:
+        h.append(v)
+    for window, k in ((1, 2), (5, 5), (12, 12), (40, 12)):
+        intercept, slope, got_k, _ = h.trend(window, 1e-4, 1e-2)
+        assert got_k == k
+        fit_slope, fit_intercept = np.polyfit(np.arange(k), vals[-k:], 1)
+        assert (intercept, slope) == pytest.approx((fit_intercept, fit_slope))
+
+
+def test_trend_depends_only_on_effective_window():
+    """run_day caches trend by min(minutes, len(history)): every horizon
+    must get exactly the bits that its own window would give."""
+    vals = np.random.default_rng(6).normal(100, 2, 30)
+    for n in (0, 1, 2, 3, 30):
+        h = MinuteHistory()
+        for v in vals[:n]:
+            h.append(v)
+        for minutes in range(1, 70):
+            assert h.trend(minutes, 1e-4, 1e-2) == h.trend(min(minutes, n), 1e-4, 1e-2)
 
 
 # -- CARA demand -----------------------------------------------------------------
@@ -265,9 +300,10 @@ def test_sell_surplus_sizing():
 
 def make_order_once(account: AgentAccount, seed: int = 0):
     profile = AgentProfile(1.0, 0.0, 0.0, 600, 2.5e-5, False)
-    p_c, var = ag.trailing_stats(ramp_history(30, 100.0, 0.0), profile.minutes,
-                                 1e-4, 1e-2)
-    return decide(profile, fundamental_now=110.0, p_c=p_c, var=var,
+    history = ramp_history(30, 100.0, 0.0)
+    var = history.trend(profile.minutes, 1e-4, 1e-2)[3]
+    return decide(profile, fundamental_now=110.0, p_c=chartist_price(history, profile.minutes),
+                  var=var,
                   account=account, seed=seed)
 
 

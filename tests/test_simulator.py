@@ -7,7 +7,7 @@ import pytest
 import calisim.agents as ag
 from calisim import simulator as sim
 from calisim.agents import AgentAccount, BehaviorVector
-from calisim.lob import Side, TradeEvent
+from calisim.lob import Book, LimitOrder, Side, TradeEvent
 from calisim.simulator import (
     FundamentalSeries,
     SimConfig,
@@ -144,9 +144,9 @@ def test_conservation_of_cash_and_holdings():
     cash0 = sum(a.cash for a in accounts)
     hold0 = sum(a.holdings for a in accounts)
     stream = run_day(cfg, b, flat_fund(cfg), seed=seed)
-    # each TRADE moves price*size cash and size lots between two agents
-    delta_cash = sum(0 for e in stream.events if e.kind == "TRADE")
-    assert delta_cash == 0  # transfers are zero-sum by construction
+    # each TRADE moves price*size cash and size lots between two agents;
+    # without one the replayed settlement below would check nothing
+    assert any(e.kind == "TRADE" for e in stream.events)
     # re-derive final accounts by replaying settlements over the stream
     cash = {i: a.cash for i, a in enumerate(accounts)}
     hold = {i: a.holdings for i, a in enumerate(accounts)}
@@ -170,6 +170,79 @@ def test_conservation_of_cash_and_holdings():
     assert sum(hold.values()) == hold0
     assert all(c >= 0 for c in cash.values())
     assert all(h >= 0 for h in hold.values())
+
+
+def _agent(tau_i: int, cash: int = 10 ** 7, holdings: int = 100) -> sim._AgentState:
+    return sim._AgentState(ag.AgentProfile(1.0, 1.0, 1.0, tau_i, 1e-4, False),
+                           AgentAccount(cash=cash, holdings=holdings))
+
+
+def test_stale_orders_are_the_birth_order_prefix():
+    """An agent's resting orders are kept in birth order, so the orders
+    older than its horizon are exactly a prefix of them."""
+    st = _agent(tau_i=100)
+    for oid, birth in enumerate((10, 50, 200, 260, 300)):
+        st.orders[oid] = LimitOrder(oid, 0, Side.BID, 100, 1, birth)
+    assert sim._stale_orders(st, 150) == [0]       # 150 - 50 = 100 is not older
+    assert sim._stale_orders(st, 151) == [0, 1]
+    assert sim._stale_orders(st, 360) == [0, 1, 2]
+    assert sim._stale_orders(st, 401) == [0, 1, 2, 3, 4]
+    assert sim._stale_orders(st, 110) == []
+    assert list(st.orders) == [0, 1, 2, 3, 4]      # the scan cancels nothing itself
+
+
+def test_stale_order_filled_earlier_in_the_batch_emits_no_cancel():
+    """A stale order that another agent fills earlier in the same slot's
+    batch is gone when its cancel comes up: no CANCEL event, and the
+    owner's dict and reservation stay consistent."""
+    states = [_agent(tau_i=10), _agent(tau_i=10)]
+    book = Book(0.01, 1, 10000)
+    stream = sim.OrderStream(100.0, 0.01, 1, 3600, 0)
+    ask = LimitOrder(0, 0, Side.ASK, 10000, 3, 0)
+    seq = sim._apply_place(states, book, ask, 0, 0, stream, 1)
+    assert states[0].account.reserved_lots == 3
+    slot = 50
+    stale = sim._stale_orders(states[0], slot)
+    assert stale == [0]
+    bid = LimitOrder(1, 1, Side.BID, 10000, 3, slot)
+    seq = sim._apply_place(states, book, bid, slot, seq, stream, 1)
+    assert 0 not in states[0].orders
+    for oid in stale:
+        seq = sim._apply_cancel(states[0], book, oid, slot, seq, stream, 1)
+    assert [e.kind for e in stream.events] == ["PLACE", "PLACE", "TRADE"]
+    assert states[0].account.reserved_lots == 0
+    assert states[0].account.holdings == 97 and states[1].account.holdings == 103
+
+
+def test_partly_filled_maker_stays_until_cancelled():
+    """A partly filled maker stays with its owner, and cancelling it
+    releases the rest of its reservation."""
+    states = [_agent(tau_i=10), _agent(tau_i=10)]
+    book = Book(0.01, 1, 10000)
+    stream = sim.OrderStream(100.0, 0.01, 1, 3600, 0)
+    seq = sim._apply_place(states, book, LimitOrder(0, 0, Side.ASK, 10000, 5, 0),
+                           0, 0, stream, 1)
+    seq = sim._apply_place(states, book, LimitOrder(1, 1, Side.BID, 10000, 2, 1),
+                           1, seq, stream, 1)
+    assert list(states[0].orders) == [0] and states[0].orders[0] is book.order(0)
+    assert book.order(0).size == 3 and states[0].account.reserved_lots == 3
+    sim._apply_cancel(states[0], book, 0, 20, seq, stream, 1)
+    assert stream.events[-1] == sim.Event(20, seq, "CANCEL", 0, 0, int(Side.ASK), 0, 0, -1)
+    assert book.order(0) is None and not states[0].orders
+    assert states[0].account.reserved_lots == 0
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_batch_shuffle_matches_permutation(n):
+    """run_day orders a slot's batch with rng.shuffle: the same order as
+    indexing by rng.permutation(n), with the stream left at the same point."""
+    for seed in range(200):
+        batch = list(range(n))
+        by_shuffle = np.random.default_rng(seed)
+        by_shuffle.shuffle(batch)
+        by_permutation = np.random.default_rng(seed)
+        assert batch == by_permutation.permutation(n).tolist()
+        assert by_shuffle.random() == by_permutation.random()
 
 
 def test_cancels_reference_resting_orders(day_stream):
