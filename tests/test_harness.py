@@ -2,6 +2,8 @@
 accounting, stage wiring on a tiny end-to-end run, and the evaluation
 report bundle."""
 
+import hashlib
+
 import numpy as np
 import pytest
 import yaml
@@ -169,6 +171,42 @@ def test_calibration_rerun_is_byte_identical(pipeline):
     before = path.read_bytes()
     harness.stage_calibrate(TINY_CFG, out, "randsearch", seed=0, bench=bench)
     assert path.read_bytes() == before
+
+
+# SHA-256 of every artifact of the tiny run except manifest.yaml, which
+# records absolute paths. Any change to the learning side (normalizers,
+# surrogate, calibrator, baselines, evaluation) that is meant to be
+# bit-identical must leave these unchanged.
+TINY_GOLDEN = {
+    "benchmark/benchmark.yaml": "29693d17fb641f82e373787c678a4c47d2c66209b4144bebd0ab0c23f2af703b",
+    "benchmark/days.csv": "e19d5a899ab9070230d1e8a9bea2c5473dc6950c801179f34a6e21f5116a5fde",
+    "benchmark/macro.csv": "c47288dfad438d270a6f674a143fb322c3f17f1d14665af4c0529dd2fb1f628c",
+    "calibration_bayesopt_seed0.csv": "0185bf1c2254129995b0e4be4fa8d5f0751f4e23e4344b5d063f898ca6ef3484",
+    "calibration_calisim.csv": "b53aa13a637b8139aaa5f4c797fc9be0aea6fbe5b48e82061533e67cf5f095b2",
+    "calibration_ground_truth.csv": "9f13184b222c11bbe6c2b1d04bc2a9856ebb8dd3fc1d082a0ad1c12492ff00c9",
+    "calibration_randsearch_seed0.csv": "cef4af394dcc000013d70373d31cba97e6ab9ab1a0bacf15011f866c6f6e1b1d",
+    "evaluation/correlation_table.csv": "310771b44ec72a0a490da85a39e25fd2fcff89b0a40207e331e812c319abbc54",
+    "evaluation/plot_reconstruction_cdf.py": "17571b2398edb641f39c13048f6db9bf450210aa7b8f6f2fb931941fc2c1148e",
+    "evaluation/plot_recovery.py": "cdeefb30457e896c3d8b5824e8058f747a527bff2f2a57f0263f470266825969",
+    "evaluation/plot_variation_hist.py": "cd47fd4d99e3601881b219484e6e494c2d16b2c855976599826145fd54de7d51",
+    "evaluation/reconstruction_cdf.csv": "e5fcab3e7eb9809f387bd8467687aee8c7c1190d2e25afe2aca1727a930a7f8d",
+    "evaluation/recovery.csv": "32066ee375faa42e90ddcf737ed5315daf067c62152e6ac97730e65a06e47880",
+    "evaluation/summary.yaml": "3619fc8fc5ce108ee64b693bab0e831406f642e44a231f664e9fca4fe46b307b",
+    "evaluation/variation_hist.csv": "00b87ebaadf03e57183fbe86b27eb79dcec03d4eec6b29a43c61b1e473bff021",
+    "metamarket.ck": "cd5594b888feecd7e53266eb13ce692b6e423ed7069d953bff87c50218a538c2",
+    "metamarket_curves.csv": "841a44f1bb9cdc453da264664314cf0775bcd2b867ca3b519b3458885b2f6c7f",
+    "surrogate.ck": "f3c9d9fee8e6ae600eac05707a744e77548e8cd576784bf86630d192e2dc76f0",
+    "surrogate_curves.csv": "5da42772636c5affaa00eb367f93cf6263d2cb79ced8c1ba7fe38dd24aed1fe8",
+    "surrogate_dataset.csv": "7d6d08aaf646cb334811d9e329525235ba53fe749a6898e7f208271a14d94a5b",
+}
+
+
+def test_tiny_pipeline_golden_digests(pipeline):
+    out, _, _ = pipeline
+    got = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(out.rglob("*"))
+           if p.is_file() and p.name != "manifest.yaml"}
+    assert got == TINY_GOLDEN
 
 
 def test_evaluate_without_calibrations(pipeline, tmp_path):
