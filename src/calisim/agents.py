@@ -26,6 +26,7 @@ BEHAVIOR_BOUNDS = {
     "p_inst": (0.0, 0.5),
 }
 BEHAVIOR_NAMES = tuple(BEHAVIOR_BOUNDS)
+N_BEHAVIOR = len(BEHAVIOR_NAMES)
 _LOWS = np.array([BEHAVIOR_BOUNDS[k][0] for k in BEHAVIOR_NAMES])
 _HIGHS = np.array([BEHAVIOR_BOUNDS[k][1] for k in BEHAVIOR_NAMES])
 

@@ -28,10 +28,6 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 class Tensor:
     """A float64 array with an optional gradient and a backward closure.
 
@@ -204,16 +200,9 @@ def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
 
     def back(g):
-        ad, bd = a.data, b.data
-        if ad.ndim == 1:
-            ga = g @ bd.T
-        else:
-            ga = g @ bd.T
-        if ad.ndim == 1:
-            gb = np.outer(ad, g)
-        else:
-            gb = ad.T @ g
-        return ga, gb
+        ad = a.data
+        gb = np.outer(ad, g) if ad.ndim == 1 else ad.T @ g
+        return g @ b.data.T, gb
 
     return _make(a.data @ b.data, (a, b), back)
 
@@ -226,7 +215,9 @@ def relu(a) -> Tensor:
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    s = 1.0 / (1.0 + np.exp(-a.data))
+    # exp(-a) overflows to inf for a < -709, and 1 / (1 + inf) is exactly 0.0
+    with np.errstate(over="ignore"):
+        s = 1.0 / (1.0 + np.exp(-a.data))
     return _make(s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
@@ -234,17 +225,6 @@ def tanh(a) -> Tensor:
     a = as_tensor(a)
     t = np.tanh(a.data)
     return _make(t, (a,), lambda g: (g * (1.0 - t * t),))
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    e = np.exp(a.data)
-    return _make(e, (a,), lambda g: (g * e,))
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
 def sqrt(a, eps: float = 0.0) -> Tensor:
@@ -256,13 +236,6 @@ def sqrt(a, eps: float = 0.0) -> Tensor:
 def square(a) -> Tensor:
     a = as_tensor(a)
     return _make(a.data * a.data, (a,), lambda g: (g * 2.0 * a.data,))
-
-
-def maximum0(a) -> Tensor:
-    """max(a, 0), the hinge used by the triplet loss."""
-    a = as_tensor(a)
-    mask = a.data > 0
-    return _make(a.data * mask, (a,), lambda g: (g * mask,))
 
 
 def vsum(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -314,20 +287,6 @@ def reshape(a, shape) -> Tensor:
 def sum_squares(a) -> Tensor:
     """Squared L2 norm of a tensor (flattened)."""
     return vsum(square(a))
-
-
-def l2norm(a, eps: float = 1e-12) -> Tensor:
-    """Euclidean norm with a smoothing epsilon so the gradient exists at 0."""
-    return sqrt(vsum(square(a)), eps=eps)
-
-
-def mse(a, b) -> Tensor:
-    return mean(square(sub(a, b)))
-
-
-def triplet_loss(anchor, positive, negative, margin: float) -> Tensor:
-    """max(||a-p|| - ||a-n|| + margin, 0) with Euclidean distances."""
-    return maximum0(add(sub(l2norm(sub(anchor, positive)), l2norm(sub(anchor, negative))), margin))
 
 
 # -- Adam -------------------------------------------------------------------------

@@ -13,11 +13,10 @@ from scipy import stats
 from scipy.linalg import solve_triangular
 
 from . import features as feat
-from .agents import BehaviorVector
+from .agents import N_BEHAVIOR, BehaviorVector
 from .features import FeatureNormalizer
 from .simulator import FundamentalSeries, SimConfig, run_day
 
-N_BEHAVIOR = 5
 WARM_STARTS = 3
 EI_CANDIDATES = 1024
 NOISE_VAR = 1e-6

@@ -16,14 +16,13 @@ import numpy as np
 import yaml
 
 from . import features as feat
-from .agents import BehaviorVector
-from .marketstate import WINDOW_DAYS, DailyBar, MacroTable, assemble, bar_from_mids
+from .agents import N_BEHAVIOR, BehaviorVector
+from .marketstate import (N_STATE, WINDOW_DAYS, DailyBar, MacroTable, assemble,
+                          bar_from_mids)
 from .simulator import FundamentalSeries, SimConfig, run_day
 
 TRADING_DAYS_PER_MONTH = 21
 BASE_YEAR = 2020
-N_STATE = 5
-N_BEHAVIOR = 5
 
 # b* recursion: persistence, state pull, innovation, normalized clip range.
 B_PERSIST = 0.9
@@ -200,10 +199,6 @@ def _gen_fundamental(n_days: int, fdim: int, open_price: float,
     return out
 
 
-def _zscore(x: np.ndarray) -> np.ndarray:
-    return (x - x.mean(axis=0)) / np.maximum(x.std(axis=0), 1e-9)
-
-
 def gen_benchmark(profile: str, seed: int, state_free: bool = False) -> Benchmark:
     """Generate the full benchmark; deterministic per (profile, seed)."""
     if profile not in PROFILES:
@@ -247,8 +242,7 @@ def gen_benchmark(profile: str, seed: int, state_free: bool = False) -> Benchmar
         boot[d, :3] = macro.lookup(y, m)
         boot[d, 3] = atr_trend(fund_bars[i - WINDOW_DAYS: i])
         boot[d, 4] = er_noise(fund_closes[i - WINDOW_DAYS: i])
-    z_mean = boot.mean(axis=0)
-    z_std = np.maximum(boot.std(axis=0), 1e-9)
+    boot_norm = feat.FeatureNormalizer.fit(boot)
 
     # Planted state-to-behavior map: fixed full-rank A with the pull term
     # scaled so the state drives most of b*'s variance.
@@ -256,7 +250,7 @@ def gen_benchmark(profile: str, seed: int, state_free: bool = False) -> Benchmar
         a_map = np.zeros((N_BEHAVIOR, N_STATE))
     else:
         a_map = rng_b.normal(0.0, 1.0, (N_BEHAVIOR, N_STATE))
-        drive = a_map @ ((boot - z_mean) / z_std).T
+        drive = a_map @ boot_norm.transform(boot).T
         a_map *= (STATE_TARGET_STD / np.maximum(drive.std(axis=1), 1e-9))[:, None]
 
     # Sequential generation: state -> b*_d -> simulated day -> next bar.
@@ -278,7 +272,7 @@ def gen_benchmark(profile: str, seed: int, state_free: bool = False) -> Benchmar
         window = (lead_bars + bars)[lead + d - WINDOW_DAYS: lead + d]
         x_d = assemble(y, m, macro, window)
         planted[d] = x_d
-        pull = np.clip(0.5 + a_map @ ((x_d - z_mean) / z_std), 0.0, 1.0)
+        pull = np.clip(0.5 + a_map @ boot_norm.transform(x_d), 0.0, 1.0)
         nxt = np.clip(B_PERSIST * prev + (1 - B_PERSIST) * pull + noise_b[d], *B_CLIP)
         step = nxt - prev
         norm = np.linalg.norm(step)
@@ -307,7 +301,7 @@ def gen_benchmark(profile: str, seed: int, state_free: bool = False) -> Benchmar
     if worst_step > 0.1:
         raise AssertionError(f"planted step bound violated: {worst_step:.4f} > 0.1")
     if not state_free:
-        z = _zscore(planted)
+        z = feat.FeatureNormalizer.fit(planted).transform(planted)
         x1 = np.column_stack([z, np.ones(n_days)])
         resid = b_norm - x1 @ np.linalg.lstsq(x1, b_norm, rcond=None)[0]
         r2 = 1.0 - resid.var(axis=0) / b_norm.var(axis=0)

@@ -100,7 +100,9 @@ def extract(stream: OrderStream) -> np.ndarray:
 
 @dataclass
 class FeatureNormalizer:
-    """Per-dimension z-score statistics fitted on a training corpus."""
+    """Per-dimension z-score statistics fitted on a training corpus: the one
+    normalizer for daily features, market states and the benchmark
+    generator's state statistics. A constant column gets std STD_FLOOR."""
 
     mean: np.ndarray
     std: np.ndarray
@@ -116,9 +118,6 @@ class FeatureNormalizer:
 
     def transform(self, f: np.ndarray) -> np.ndarray:
         return (np.asarray(f, dtype=float) - self.mean) / self.std
-
-    def inverse(self, z: np.ndarray) -> np.ndarray:
-        return np.asarray(z, dtype=float) * self.std + self.mean
 
     def as_tensors(self, prefix: str) -> dict[str, np.ndarray]:
         return {f"{prefix}.mean": self.mean, f"{prefix}.std": self.std}

@@ -21,7 +21,7 @@ from . import simulator as sim
 from . import surrogate as sur
 from .agents import BEHAVIOR_NAMES, BehaviorVector
 from .benchmark import Benchmark, gen_benchmark
-from .marketstate import STATE_NAMES, StateNormalizer
+from .marketstate import N_STATE, STATE_NAMES
 from .simulator import run_day
 
 METHODS = ("calisim", "randsearch", "bayesopt")
@@ -143,7 +143,7 @@ def stage_train_surrogate(cfg: dict, out_dir: Path,
 
 
 def _build_corpus(bench: Benchmark, net: sur.SurrogateNet,
-                  state_norm: StateNormalizer) -> list[mm.DayRecord]:
+                  state_norm: feat.FeatureNormalizer) -> list[mm.DayRecord]:
     """Meta-market training corpus over all train days (their windows reach
     back into the warmup span)."""
     records = []
@@ -154,7 +154,7 @@ def _build_corpus(bench: Benchmark, net: sur.SurrogateNet,
             features_z=q_z,
             fund_norm=sur.normalize_fundamental(d.fund),
             state_z=(state_norm.transform(d.state_assembled)
-                     if d.state_assembled is not None else np.zeros(5)),
+                     if d.state_assembled is not None else np.zeros(N_STATE)),
             target_z=q_z))
     return records
 
@@ -175,7 +175,7 @@ def stage_train_metamarket(cfg: dict, out_dir: Path, w_s: float | None = None,
     if w_s is None:
         w_s = float(mc["w_s"])
     states = np.stack([d.state_assembled for d in bench.train_days])
-    state_norm = StateNormalizer.fit(states)
+    state_norm = feat.FeatureNormalizer.fit(states)
     corpus = _build_corpus(bench, net, state_norm)
     rng = np.random.default_rng(np.random.SeedSequence([int(cfg["seed"]), 0x4B]))
     k = mm.MetaMarket(bench.cfg.fundamental_len, rng, net.norm, state_norm)

@@ -1,6 +1,7 @@
 """Daily 5-dimensional market state: exogenous CPI/PPI/PMI from a monthly
 macro file plus trend (average-true-range based) and noise (efficiency
-ratio) computed from the asset's own daily bars over a trailing month."""
+ratio) computed from the asset's own daily bars over a trailing month.
+States are z-scored with `features.FeatureNormalizer`."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 STATE_NAMES = ("cpi", "ppi", "pmi", "trend", "noise")
+N_STATE = len(STATE_NAMES)
 WINDOW_DAYS = 20  # one trading month
 
 
@@ -89,28 +91,6 @@ class MacroTable:
         if key not in self.rows:
             raise KeyError(f"macro table has no entry for {year}-{month:02d}")
         return self.rows[key]
-
-
-@dataclass
-class StateNormalizer:
-    mean: np.ndarray
-    std: np.ndarray
-
-    @staticmethod
-    def fit(states: np.ndarray) -> "StateNormalizer":
-        states = np.asarray(states, dtype=float)
-        return StateNormalizer(states.mean(axis=0),
-                               np.maximum(states.std(axis=0), 1e-9))
-
-    def transform(self, x: np.ndarray) -> np.ndarray:
-        return (np.asarray(x, dtype=float) - self.mean) / self.std
-
-    def as_tensors(self, prefix: str) -> dict[str, np.ndarray]:
-        return {f"{prefix}.mean": self.mean, f"{prefix}.std": self.std}
-
-    @staticmethod
-    def from_tensors(tensors: dict[str, np.ndarray], prefix: str) -> "StateNormalizer":
-        return StateNormalizer(tensors[f"{prefix}.mean"], tensors[f"{prefix}.std"])
 
 
 def assemble(year: int, month: int, macro: MacroTable,

@@ -20,17 +20,13 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nn
-from .agents import BEHAVIOR_NAMES, BehaviorVector, behavior_variation
+from .agents import N_BEHAVIOR, BehaviorVector
 from .autodiff import Tensor
-from .features import FeatureNormalizer
-from .marketstate import StateNormalizer
+from .features import N_FEATURES, FeatureNormalizer
+from .marketstate import N_STATE, WINDOW_DAYS
 from .surrogate import SurrogateNet
 
-WINDOW_DAYS = 20
-N_STATE = 5
-N_FEATURES = 13
 HIDDEN = 64
-N_BEHAVIOR = 5
 ESTIMATOR_PARAMS = HIDDEN * N_BEHAVIOR + N_BEHAVIOR  # 325
 TRIPLET_MARGIN = 0.1
 SIMILAR_NOISE = 0.05   # z-units per state dim
@@ -59,7 +55,7 @@ class MetaMarket:
 
     def __init__(self, fund_dim: int, rng: np.random.Generator,
                  feat_norm: FeatureNormalizer | None = None,
-                 state_norm: StateNormalizer | None = None):
+                 state_norm: FeatureNormalizer | None = None):
         self.fund_dim = fund_dim
         self.extractor = nn.StackedLSTM(N_FEATURES, HIDDEN, 2, rng, "mm.lstm")
         self.a1 = nn.Affine(N_STATE, 200, rng, "mm.a1")
@@ -85,17 +81,13 @@ class MetaMarket:
 
     # -- forward pieces --------------------------------------------------------
 
-    def implicit(self, window: np.ndarray) -> Tensor:
-        """u for a (W, 13) or batched (n, W, 13) z-scored feature window."""
-        window = np.asarray(window, dtype=float)
-        if window.shape[-2] != WINDOW_DAYS:
+    def implicit(self, windows: np.ndarray) -> Tensor:
+        """u, (n, HIDDEN), for n z-scored feature windows of shape (n, W, 13)."""
+        windows = np.asarray(windows, dtype=float)
+        if windows.shape[-2] != WINDOW_DAYS:
             raise ValueError(f"feature window must cover {WINDOW_DAYS} days, "
-                             f"got {window.shape[-2]}")
-        if window.ndim == 2:
-            xs = [Tensor(window[t]) for t in range(WINDOW_DAYS)]
-        else:
-            xs = [Tensor(window[:, t, :]) for t in range(WINDOW_DAYS)]
-        return self.extractor.run(xs)
+                             f"got {windows.shape[-2]}")
+        return self.extractor.run([Tensor(windows[:, t, :]) for t in range(WINDOW_DAYS)])
 
     def analyze(self, x: Tensor) -> Tensor:
         """theta2 = g_omega(x): the estimator's weights and bias."""
@@ -103,29 +95,30 @@ class MetaMarket:
 
     @staticmethod
     def estimate(u: Tensor, theta2: Tensor) -> Tensor:
-        """sigmoid(u @ W + b) with (W, b) unpacked per sample from theta2."""
+        """sigmoid(u @ W + b) with (W, b) unpacked per sample from theta2:
+        u is (n, HIDDEN) and theta2 is (n, ESTIMATOR_PARAMS)."""
         cut = HIDDEN * N_BEHAVIOR
-        if u.data.ndim == 1:
-            w = ad.reshape(theta2[:cut], (HIDDEN, N_BEHAVIOR))
-            bias = theta2[cut:]
-            pre = ad.add(ad.vsum(ad.mul(ad.reshape(u, (HIDDEN, 1)), w), axis=0), bias)
-        else:
-            n = u.data.shape[0]
-            w = ad.reshape(theta2[:, :cut], (n, HIDDEN, N_BEHAVIOR))
-            bias = theta2[:, cut:]
-            pre = ad.add(ad.vsum(ad.mul(ad.reshape(u, (n, HIDDEN, 1)), w), axis=1), bias)
+        n = u.data.shape[0]
+        w = ad.reshape(theta2[:, :cut], (n, HIDDEN, N_BEHAVIOR))
+        bias = theta2[:, cut:]
+        pre = ad.add(ad.vsum(ad.mul(ad.reshape(u, (n, HIDDEN, 1)), w), axis=1), bias)
         return ad.sigmoid(pre)
 
-    def forward(self, window: np.ndarray, x_z: np.ndarray) -> Tensor:
-        u = self.implicit(window)
+    def forward(self, windows: np.ndarray, x_z: np.ndarray) -> Tensor:
+        """Normalized behavior estimates (n, 5) for n windows and n states."""
+        u = self.implicit(windows)
         theta2 = self.analyze(Tensor(np.asarray(x_z, dtype=float)))
         return self.estimate(u, theta2)
 
     def infer(self, window: np.ndarray, x_z: np.ndarray) -> BehaviorVector:
-        """One-shot calibration for a day: zero simulator calls."""
+        """One-shot calibration for a day, from its (W, 13) window and its
+        state: zero simulator calls. Days are run as batches of one: a larger
+        batch changes the floating-point sums, so it would not reproduce
+        these results bit for bit."""
         with ad.no_grad():
-            b_norm = self.forward(window, x_z).data
-        return BehaviorVector.from_normalized(b_norm)
+            b_norm = self.forward(np.asarray(window, dtype=float)[None],
+                                  np.asarray(x_z, dtype=float)[None]).data
+        return BehaviorVector.from_normalized(b_norm[0])
 
     def hypothesize(self, window: np.ndarray, x_factual_z: np.ndarray,
                     x_modified_z: np.ndarray,
@@ -151,7 +144,7 @@ class MetaMarket:
         tensors = ad.load_tensors(path)
         fn = (FeatureNormalizer.from_tensors(tensors, "mm.feat_norm")
               if "mm.feat_norm.mean" in tensors else None)
-        sn = (StateNormalizer.from_tensors(tensors, "mm.state_norm")
+        sn = (FeatureNormalizer.from_tensors(tensors, "mm.state_norm")
               if "mm.state_norm.mean" in tensors else None)
         k = MetaMarket(int(tensors["mm.fund_dim"][0]), np.random.default_rng(0), fn, sn)
         nn.load_into(k.params(), tensors)
@@ -166,8 +159,6 @@ def loss_repr(b_norm_hat: Tensor, fund_norm: np.ndarray, target_z: np.ndarray,
     """Mean over samples of the squared z-space reproduction error."""
     pred = surrogate.forward(b_norm_hat, Tensor(np.asarray(fund_norm, dtype=float)))
     err = ad.square(ad.sub(pred, Tensor(np.asarray(target_z, dtype=float))))
-    if pred.data.ndim == 1:
-        return ad.vsum(err)
     return ad.mean(ad.vsum(err, axis=1))
 
 
@@ -189,37 +180,37 @@ class StateTriplet:
     dissimilar: np.ndarray
 
 
-def make_triplet(x_z: np.ndarray, rng: np.random.Generator) -> StateTriplet:
-    """Fabricate the triplet; the dissimilar state is resampled until it is
-    strictly farther from the real state than the similar one."""
-    x_z = np.asarray(x_z, dtype=float)
-    alpha = x_z + rng.normal(0.0, SIMILAR_NOISE, x_z.shape)
-    while True:
-        beta = x_z + rng.normal(0.0, DISSIMILAR_NOISE, x_z.shape)
-        if np.linalg.norm(x_z - beta) > np.linalg.norm(x_z - alpha):
-            return StateTriplet(x_z, alpha, beta)
+def make_triplets(states: np.ndarray, rng: np.random.Generator) -> StateTriplet:
+    """Fabricate a triplet per row of the (n, 5) states. Dissimilar noise
+    is redrawn, for the offending rows only, until each row's norm strictly
+    exceeds that of its similar noise."""
+    noise_a = rng.normal(0.0, SIMILAR_NOISE, states.shape)
+    noise_b = rng.normal(0.0, DISSIMILAR_NOISE, states.shape)
+    bad = (np.linalg.norm(noise_b, axis=1) <= np.linalg.norm(noise_a, axis=1))
+    while np.any(bad):
+        noise_b[bad] = rng.normal(0.0, DISSIMILAR_NOISE, (int(bad.sum()), states.shape[1]))
+        bad = (np.linalg.norm(noise_b, axis=1) <= np.linalg.norm(noise_a, axis=1))
+    return StateTriplet(states, states + noise_a, states + noise_b)
 
 
 def _rowwise_norm(d: Tensor) -> Tensor:
-    if d.data.ndim == 1:
-        return ad.l2norm(d)
     return ad.sqrt(ad.vsum(ad.square(d), axis=1), eps=1e-12)
 
 
-def loss_stat(k: MetaMarket, window: np.ndarray, triplet: StateTriplet,
+def loss_stat(k: MetaMarket, windows: np.ndarray, triplet: StateTriplet,
               margin: float = TRIPLET_MARGIN) -> Tensor:
     """Triplet hinge on behavior estimates under fabricated states.
 
     The implicit feature is detached so this loss trains only the state
     analyzer omega.
     """
-    u = k.implicit(window).detach()
+    u = k.implicit(windows).detach()
     b = k.estimate(u, k.analyze(Tensor(triplet.real)))
     b_a = k.estimate(u, k.analyze(Tensor(triplet.similar)))
     b_b = k.estimate(u, k.analyze(Tensor(triplet.dissimilar)))
-    hinge = ad.maximum0(ad.add(ad.sub(_rowwise_norm(ad.sub(b, b_a)),
-                                      _rowwise_norm(ad.sub(b, b_b))), margin))
-    return hinge if hinge.data.ndim == 0 else ad.mean(hinge)
+    hinge = ad.relu(ad.add(ad.sub(_rowwise_norm(ad.sub(b, b_a)),
+                                  _rowwise_norm(ad.sub(b, b_b))), margin))
+    return ad.mean(hinge)
 
 
 # -- training ----------------------------------------------------------------------
@@ -284,14 +275,7 @@ def train(k: MetaMarket, corpus: list[DayRecord], surrogate: SurrogateNet,
             if w_t:
                 loss = ad.add(loss, ad.mul(loss_temp(b), w_t / (n - 1)))
             if w_s:
-                noise_a = rng.normal(0.0, SIMILAR_NOISE, states.shape)
-                noise_b = rng.normal(0.0, DISSIMILAR_NOISE, states.shape)
-                bad = (np.linalg.norm(noise_b, axis=1) <= np.linalg.norm(noise_a, axis=1))
-                while np.any(bad):
-                    noise_b[bad] = rng.normal(0.0, DISSIMILAR_NOISE, (int(bad.sum()), N_STATE))
-                    bad = (np.linalg.norm(noise_b, axis=1) <= np.linalg.norm(noise_a, axis=1))
-                trip = StateTriplet(states, states + noise_a, states + noise_b)
-                loss = ad.add(loss, ad.mul(loss_stat(k, wins, trip), w_s))
+                loss = ad.add(loss, ad.mul(loss_stat(k, wins, make_triplets(states, rng)), w_s))
             if not np.isfinite(loss.item()):
                 raise FloatingPointError(
                     f"non-finite calibrator loss at epoch {epoch}: "

@@ -72,9 +72,9 @@ class StackedLSTM:
         self.n_hidden = n_hidden
 
     def run(self, xs: list[Tensor]) -> Tensor:
-        """xs: sequence of (batch, n_in) tensors. Returns (batch, n_hidden)."""
-        batch = xs[0].data.shape[0] if xs[0].data.ndim > 1 else None
-        shape = (batch, self.n_hidden) if batch is not None else (self.n_hidden,)
+        """xs: sequence of (batch, n_in) or (n_in,) tensors. Returns the final
+        top-layer hidden state, (batch, n_hidden) or (n_hidden,)."""
+        shape = xs[0].data.shape[:-1] + (self.n_hidden,)
         states = [(Tensor(np.zeros(shape)), Tensor(np.zeros(shape))) for _ in self.cells]
         h_top = states[-1][0]
         for x in xs:

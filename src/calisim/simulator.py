@@ -61,10 +61,6 @@ class SimConfig:
         return max(1, round(self.open_price / self.tick_size))
 
     @property
-    def minutes_per_day(self) -> int:
-        return self.slots_per_day // SLOTS_PER_MINUTE
-
-    @property
     def fundamental_len(self) -> int:
         return self.slots_per_day // FUNDAMENTAL_INTERVAL_SLOTS
 

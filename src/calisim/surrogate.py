@@ -17,12 +17,11 @@ import numpy as np
 from . import autodiff as ad
 from . import features as feat
 from . import nn
-from .agents import BehaviorVector
+from .agents import N_BEHAVIOR, BehaviorVector
 from .autodiff import Tensor
 from .features import FeatureNormalizer
 from .simulator import FundamentalSeries, SimConfig, run_day
 
-N_BEHAVIOR = 5
 FUND_EMBED = 4
 TRUNK = (50, 100, 50)
 

@@ -27,7 +27,7 @@ from calisim import surrogate as sur
 from calisim.autodiff import Tensor, grad_check
 from calisim.features import FeatureNormalizer
 from calisim.lob import Book, LimitOrder, NoLiquidityError, Side
-from calisim.marketstate import STATE_NAMES, StateNormalizer
+from calisim.marketstate import STATE_NAMES
 from calisim.metamarket import MetaMarket, loss_repr, loss_temp
 from calisim.surrogate import SurrogateNet
 
@@ -86,7 +86,7 @@ def _composite_rel_err(seed: int) -> float:
     """Finite-difference check of the full calibrator composite loss
     (reproduction + temporal + state-consistency) on one seed."""
     unit_f = FeatureNormalizer(np.zeros(13), np.ones(13))
-    unit_s = StateNormalizer(np.zeros(5), np.ones(5))
+    unit_s = FeatureNormalizer(np.zeros(5), np.ones(5))
     rng = np.random.default_rng(seed)
     k = MetaMarket(FUND_DIM, rng, unit_f, unit_s)
     # undo the rough-start init gain: saturated gates leave true gradients
@@ -113,7 +113,7 @@ def _composite_rel_err(seed: int) -> float:
         b = MetaMarket.estimate(u_fixed, k.analyze(Tensor(trip.real)))
         b_a = MetaMarket.estimate(u_fixed, k.analyze(Tensor(trip.similar)))
         b_b = MetaMarket.estimate(u_fixed, k.analyze(Tensor(trip.dissimilar)))
-        hinge = ad.maximum0(ad.add(ad.sub(mm._rowwise_norm(ad.sub(b, b_a)),
+        hinge = ad.relu(ad.add(ad.sub(mm._rowwise_norm(ad.sub(b, b_a)),
                                           mm._rowwise_norm(ad.sub(b, b_b))), 10.0))
         return ad.mean(hinge)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from calisim import autodiff as ad
+from calisim import metamarket as mm
 from calisim import nn
 from calisim.autodiff import Adam, Tensor, grad_check, load_tensors, save_tensors
 
@@ -14,6 +15,7 @@ TOL = 1e-5
 def test_relu_sigmoid_values():
     assert np.array_equal(ad.relu(Tensor([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
     assert ad.sigmoid(Tensor(0.0)).item() == 0.5
+    assert ad.sigmoid(Tensor(-1000.0)).item() == 0.0  # exp overflows, no warning
 
 
 def test_affine_identity():
@@ -62,13 +64,16 @@ def test_grad_sigmoid_tanh_concat_index(seed):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_grad_triplet_loss_non_kink(seed):
+    """The hinge of metamarket.loss_stat, on one row."""
     rng = np.random.default_rng(seed)
-    anchor = ad.parameter(rng.normal(size=4), "anchor")
-    pos = ad.parameter(rng.normal(size=4), "pos")
-    neg = ad.parameter(rng.normal(size=4), "neg")
+    anchor = ad.parameter(rng.normal(size=(1, 4)), "anchor")
+    pos = ad.parameter(rng.normal(size=(1, 4)), "pos")
+    neg = ad.parameter(rng.normal(size=(1, 4)), "neg")
 
     def loss():
-        return ad.triplet_loss(anchor, pos, neg, margin=0.5)
+        d_pos = mm._rowwise_norm(ad.sub(anchor, pos))
+        d_neg = mm._rowwise_norm(ad.sub(anchor, neg))
+        return ad.mean(ad.relu(ad.add(ad.sub(d_pos, d_neg), 0.5)))
 
     if loss().item() == 0.0:  # hinge kink or inactive region: resample
         pos.data += 10.0 * np.sign(pos.data - anchor.data)

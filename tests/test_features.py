@@ -192,14 +192,20 @@ def test_reconstruction_error_uses_z_space():
     assert reconstruction_error(g, f, norm) == pytest.approx(1.0)
 
 
-def test_normalizer_roundtrip_and_floor():
-    rng = np.random.default_rng(5)
-    rows = rng.normal(3.0, 2.0, (40, 13))
-    rows[:, 4] = 7.0  # degenerate dimension
+@pytest.mark.parametrize("rows, dead", [
+    (np.random.default_rng(5).normal(3.0, 2.0, (40, 13)), 4),
+    (np.random.default_rng(0).normal(5.0, 3.0, (50, 5)), 2),
+], ids=["features", "states"])
+def test_normalizer_zscore_and_floor(rows, dead):
+    rows = rows.copy()
+    rows[:, dead] = 7.0  # degenerate dimension
     norm = FeatureNormalizer.fit(rows)
-    assert norm.std[4] == FeatureNormalizer.STD_FLOOR
-    x = rng.normal(size=13)
-    assert np.max(np.abs(norm.inverse(norm.transform(x)) - x)) < 1e-9
+    assert norm.std[dead] == FeatureNormalizer.STD_FLOOR == 1e-9
+    z = norm.transform(rows)
+    live = np.arange(rows.shape[1]) != dead
+    assert np.allclose(z[:, live].mean(axis=0), 0.0, atol=1e-12)
+    assert np.allclose(z[:, live].std(axis=0), 1.0, atol=1e-12)
+    assert np.array_equal(z[:, dead], np.zeros(len(rows)))
 
 
 def test_lag_corr_degenerate_inputs():

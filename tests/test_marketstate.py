@@ -8,7 +8,6 @@ from calisim.marketstate import (
     WINDOW_DAYS,
     DailyBar,
     MacroTable,
-    StateNormalizer,
     assemble,
     bar_from_mids,
     noise,
@@ -117,13 +116,3 @@ def test_assemble_vector_layout():
     assert np.allclose(x[:3], [103.0, 101.0, 49.0])
     assert x[3] == pytest.approx(2.0 / 100.0)
     assert x[4] == 0.0  # constant closes
-
-
-def test_state_normalizer_zscore_and_floor():
-    rows = np.random.default_rng(0).normal(5.0, 3.0, (50, 5))
-    rows[:, 2] = 42.0
-    sn = StateNormalizer.fit(rows)
-    z = sn.transform(rows)
-    assert np.allclose(z[:, :2].mean(axis=0), 0.0, atol=1e-12)
-    assert np.allclose(z[:, :2].std(axis=0), 1.0, atol=1e-12)
-    assert sn.std[2] == 1e-9  # degenerate dimension floored

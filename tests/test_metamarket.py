@@ -9,7 +9,6 @@ from calisim import metamarket as mm
 from calisim import simulator as sim
 from calisim.autodiff import Tensor
 from calisim.features import FeatureNormalizer
-from calisim.marketstate import StateNormalizer
 from calisim.metamarket import (
     WINDOW_DAYS,
     DayRecord,
@@ -17,7 +16,7 @@ from calisim.metamarket import (
     loss_repr,
     loss_stat,
     loss_temp,
-    make_triplet,
+    make_triplets,
     train,
 )
 from calisim.surrogate import SurrogateNet
@@ -28,7 +27,7 @@ FUND_DIM = 6
 def make_k(seed=0) -> MetaMarket:
     return MetaMarket(FUND_DIM, np.random.default_rng(seed),
                       FeatureNormalizer(np.zeros(13), np.ones(13)),
-                      StateNormalizer(np.zeros(5), np.ones(5)))
+                      FeatureNormalizer(np.zeros(5), np.ones(5)))
 
 
 def make_surrogate(seed=1) -> SurrogateNet:
@@ -46,18 +45,19 @@ def window(rng, n=WINDOW_DAYS):
 def test_implicit_rejects_short_window():
     k = make_k()
     with pytest.raises(ValueError, match="20 days"):
-        k.implicit(np.zeros((WINDOW_DAYS - 1, 13)))
+        k.implicit(np.zeros((1, WINDOW_DAYS - 1, 13)))
 
 
 def test_batched_forward_matches_per_sample():
-    """The all-windows batch path must agree with one-window calls."""
+    """The all-windows batch must agree with batches of one window."""
     k = make_k()
     rng = np.random.default_rng(2)
     wins = rng.normal(size=(4, WINDOW_DAYS, 13))
     states = rng.normal(size=(4, 5))
     with ad.no_grad():
         batch = k.forward(wins, states).data
-        singles = np.stack([k.forward(wins[i], states[i]).data for i in range(4)])
+        singles = np.concatenate([k.forward(wins[i][None], states[i][None]).data
+                                  for i in range(4)])
     assert np.allclose(batch, singles, atol=1e-12)
 
 
@@ -110,13 +110,41 @@ def test_loss_temp_examples():
         loss_temp(Tensor(np.zeros((1, 5))))
 
 
-def test_make_triplet_orders_distances():
-    rng = np.random.default_rng(6)
-    for _ in range(50):
-        x = rng.normal(size=5)
-        t = make_triplet(x, rng)
-        assert np.linalg.norm(x - t.dissimilar) > np.linalg.norm(x - t.similar)
-        assert np.array_equal(t.real, x)
+def test_make_triplets_orders_distances():
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(200, 5))
+        before = x.copy()
+        t = make_triplets(x, rng)
+        assert np.all(np.linalg.norm(x - t.dissimilar, axis=1)
+                      > np.linalg.norm(x - t.similar, axis=1))
+        assert np.array_equal(t.real, before) and np.array_equal(x, before)
+
+
+class ScriptedNormal:
+    """Stands in for a Generator: `normal` returns the scripted arrays in
+    order and records the requested sizes."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+        self.sizes = []
+
+    def normal(self, loc, scale, size):
+        self.sizes.append(size)
+        out = np.asarray(self.draws.pop(0), dtype=float)
+        assert out.shape == tuple(size)
+        return out
+
+
+def test_make_triplets_redraws_only_offending_rows():
+    x = np.zeros((3, 2))
+    rng = ScriptedNormal([[0.1, 0.0], [0.1, 0.0], [0.1, 0.0]],   # similar
+                         [[1.0, 0.0], [0.0, 0.1], [0.05, 0.0]],  # dissimilar
+                         [[0.0, 0.01], [2.0, 0.0]],              # rows 1, 2
+                         [[0.0, 3.0]])                           # row 1 again
+    t = make_triplets(x, rng)
+    assert rng.sizes == [(3, 2), (3, 2), (2, 2), (1, 2)] and not rng.draws
+    assert np.array_equal(t.dissimilar, [[1.0, 0.0], [0.0, 3.0], [2.0, 0.0]])
 
 
 def test_loss_stat_trains_only_omega():
@@ -124,8 +152,8 @@ def test_loss_stat_trains_only_omega():
     extractor parameters receive exactly zero gradient from it."""
     k = make_k()
     rng = np.random.default_rng(7)
-    win = window(rng)
-    trip = make_triplet(rng.normal(size=5), rng)
+    win = window(rng)[None]
+    trip = make_triplets(rng.normal(size=(1, 5)), rng)
     for p in k.params():
         p.zero_grad()
     loss = loss_stat(k, win, trip)
@@ -141,8 +169,8 @@ def test_loss_repr_frozen_surrogate_single_and_batch():
     k = make_k()
     net = make_surrogate()
     rng = np.random.default_rng(8)
-    b1 = k.forward(window(rng), rng.normal(size=5))
-    single = loss_repr(b1, rng.normal(size=FUND_DIM), rng.normal(size=13), net)
+    b1 = k.forward(window(rng)[None], rng.normal(size=5)[None])
+    single = loss_repr(b1, rng.normal(size=FUND_DIM)[None], rng.normal(size=13)[None], net)
     assert single.data.ndim == 0 and np.isfinite(single.item())
     wins = rng.normal(size=(3, WINDOW_DAYS, 13))
     states = rng.normal(size=(3, 5))
@@ -180,8 +208,8 @@ def test_composite_loss_gradient_check():
         b = MetaMarket.estimate(u_fixed, k.analyze(Tensor(trip.real)))
         b_a = MetaMarket.estimate(u_fixed, k.analyze(Tensor(trip.similar)))
         b_b = MetaMarket.estimate(u_fixed, k.analyze(Tensor(trip.dissimilar)))
-        hinge = ad.maximum0(ad.add(ad.sub(mm._rowwise_norm(ad.sub(b, b_a)),
-                                          mm._rowwise_norm(ad.sub(b, b_b))), 10.0))
+        hinge = ad.relu(ad.add(ad.sub(mm._rowwise_norm(ad.sub(b, b_a)),
+                                      mm._rowwise_norm(ad.sub(b, b_b))), 10.0))
         return ad.mean(hinge)
 
     def loss():
