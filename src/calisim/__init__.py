@@ -4,9 +4,9 @@ benchmarked against random-search and Bayesian-optimization calibration on
 a synthetic ground-truth benchmark.
 """
 
-from .agents import BehaviorVector, behavior_variation
+from .agents import BehaviorVector
 from .benchmark import Benchmark, gen_benchmark
-from .features import FEATURE_NAMES, FeatureNormalizer, extract, reconstruction_error
+from .features import FEATURE_NAMES, FeatureNormalizer, extract
 from .metamarket import MetaMarket
 from .simulator import FundamentalSeries, SimConfig, run_day
 from .surrogate import SurrogateNet
@@ -14,8 +14,8 @@ from .surrogate import SurrogateNet
 __version__ = "0.1.0"
 
 __all__ = [
-    "BehaviorVector", "behavior_variation", "Benchmark", "gen_benchmark",
-    "FEATURE_NAMES", "FeatureNormalizer", "extract", "reconstruction_error",
+    "BehaviorVector", "Benchmark", "gen_benchmark",
+    "FEATURE_NAMES", "FeatureNormalizer", "extract",
     "MetaMarket", "FundamentalSeries", "SimConfig", "run_day", "SurrogateNet",
     "__version__",
 ]

@@ -30,6 +30,8 @@ N_BEHAVIOR = len(BEHAVIOR_NAMES)
 _LOWS = np.array([BEHAVIOR_BOUNDS[k][0] for k in BEHAVIOR_NAMES])
 _HIGHS = np.array([BEHAVIOR_BOUNDS[k][1] for k in BEHAVIOR_NAMES])
 
+SLOTS_PER_MINUTE = 60   # a slot is one second
+
 
 @dataclass(frozen=True)
 class BehaviorVector:
@@ -65,12 +67,6 @@ class BehaviorVector:
         return BehaviorVector(*np.asarray(raw, dtype=float))
 
 
-def behavior_variation(b0: BehaviorVector, b1: BehaviorVector) -> float:
-    """Squared L2 distance between normalized coordinate vectors."""
-    d = b0.normalized() - b1.normalized()
-    return float(d @ d)
-
-
 @dataclass(frozen=True)
 class AgentProfile:
     g_f: float
@@ -83,7 +79,7 @@ class AgentProfile:
     total: float = field(init=False)   # g_f + g_c + g_n, the estimate's divisor
 
     def __post_init__(self):
-        object.__setattr__(self, "minutes", max(1, round(self.tau_i / 60)))
+        object.__setattr__(self, "minutes", max(1, round(self.tau_i / SLOTS_PER_MINUTE)))
         object.__setattr__(self, "total", self.g_f + self.g_c + self.g_n)
 
 

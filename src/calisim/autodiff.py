@@ -7,6 +7,7 @@ recorded operations, and a backward pass that accumulates gradients.
 
 from __future__ import annotations
 
+import math
 import struct
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
@@ -397,19 +398,32 @@ def save_tensors(path, tensors: dict[str, np.ndarray]):
 
 
 def load_tensors(path) -> dict[str, np.ndarray]:
+    """Read a `save_tensors` file; a truncated file or trailing bytes raise
+    ValueError naming the path."""
     with open(path, "rb") as f:
-        if f.read(4) != _MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        version, count = struct.unpack("<II", f.read(8))
-        if version != _VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        out: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack("<I", f.read(4))
-            name = f.read(nlen).decode("utf-8")
-            (rank,) = struct.unpack("<I", f.read(4))
-            dims = struct.unpack(f"<{rank}Q", f.read(8 * rank)) if rank else ()
-            size = int(np.prod(dims)) if dims else 1
-            data = np.frombuffer(f.read(8 * size), dtype="<f8").reshape(dims)
-            out[name] = np.array(data, dtype=np.float64)
-        return out
+        buf = f.read()
+    if not buf.startswith(_MAGIC):
+        raise ValueError(f"{path}: not a checkpoint file")
+    pos = len(_MAGIC)
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if n > len(buf) - pos:
+            raise ValueError(f"{path}: checkpoint truncated at byte {len(buf)}")
+        pos += n
+        return buf[pos - n: pos]
+
+    version, count = struct.unpack("<II", take(8))
+    if version != _VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    out: dict[str, np.ndarray] = {}
+    for _ in range(count):
+        (nlen,) = struct.unpack("<I", take(4))
+        name = take(nlen).decode("utf-8")
+        (rank,) = struct.unpack("<I", take(4))
+        dims = struct.unpack(f"<{rank}Q", take(8 * rank))
+        data = np.frombuffer(take(8 * math.prod(dims)), dtype="<f8").reshape(dims)
+        out[name] = np.array(data, dtype=np.float64)
+    if pos != len(buf):
+        raise ValueError(f"{path}: {len(buf) - pos} trailing bytes after the last tensor")
+    return out

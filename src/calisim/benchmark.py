@@ -18,7 +18,7 @@ import yaml
 from . import features as feat
 from .agents import N_BEHAVIOR, BehaviorVector
 from .marketstate import (N_STATE, WINDOW_DAYS, DailyBar, MacroTable, assemble,
-                          bar_from_mids)
+                          bar_from_mids, noise, trend)
 from .simulator import FundamentalSeries, SimConfig, run_day
 
 TRADING_DAYS_PER_MONTH = 21
@@ -130,7 +130,7 @@ class Benchmark:
         out_dir = Path(out_dir)
         with open(out_dir / "benchmark.yaml") as f:
             meta = yaml.safe_load(f)
-        cfg = SimConfig(rng_seed=meta["seed"], **meta["cfg"])
+        cfg = SimConfig(**meta["cfg"])
         macro = MacroTable.read(out_dir / "macro.csv")
         fdim = cfg.fundamental_len
         days = []
@@ -204,8 +204,7 @@ def gen_benchmark(profile: str, seed: int, state_free: bool = False) -> Benchmar
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; choose from {sorted(PROFILES)}")
     p = PROFILES[profile]
-    cfg = SimConfig(slots_per_day=p["slots_per_day"], n_agents=p["n_agents"],
-                    rng_seed=seed)
+    cfg = SimConfig(slots_per_day=p["slots_per_day"], n_agents=p["n_agents"])
     n_warmup = WINDOW_DAYS
     n_days = n_warmup + p["n_train"] + p["n_test"]
     lead = WINDOW_DAYS   # extra un-simulated days so day 0 has trailing bars
@@ -218,8 +217,7 @@ def gen_benchmark(profile: str, seed: int, state_free: bool = False) -> Benchmar
     rng_sim = np.random.default_rng(np.random.SeedSequence([seed, 0x04]))
 
     macro_levels = _gen_macro(n_months, rng_macro)
-    macro = MacroTable({(_calendar(n_days)[m * TRADING_DAYS_PER_MONTH][0],
-                         _calendar(n_days)[m * TRADING_DAYS_PER_MONTH][1]):
+    macro = MacroTable({calendar[m * TRADING_DAYS_PER_MONTH]:
                         tuple(float(v) for v in macro_levels[m])
                         for m in range(n_months)})
 
@@ -231,8 +229,6 @@ def gen_benchmark(profile: str, seed: int, state_free: bool = False) -> Benchmar
     # the downstream assembled state reproduces the planted one exactly.
     # Bootstrap z-statistics for the state come from a fundamental-only
     # pre-pass (the regression self-check below is shift-invariant).
-    from .marketstate import noise as er_noise
-    from .marketstate import trend as atr_trend
     fund_bars = [bar_from_mids(fund_path[i]) for i in range(lead + n_days)]
     fund_closes = fund_path[:, -1]
     boot = np.zeros((n_days, N_STATE))
@@ -240,8 +236,8 @@ def gen_benchmark(profile: str, seed: int, state_free: bool = False) -> Benchmar
         i = lead + d
         y, m = calendar[d]
         boot[d, :3] = macro.lookup(y, m)
-        boot[d, 3] = atr_trend(fund_bars[i - WINDOW_DAYS: i])
-        boot[d, 4] = er_noise(fund_closes[i - WINDOW_DAYS: i])
+        boot[d, 3] = trend(fund_bars[i - WINDOW_DAYS: i])
+        boot[d, 4] = noise(fund_closes[i - WINDOW_DAYS: i])
     boot_norm = feat.FeatureNormalizer.fit(boot)
 
     # Planted state-to-behavior map: fixed full-rank A with the pull term
@@ -287,7 +283,7 @@ def gen_benchmark(profile: str, seed: int, state_free: bool = False) -> Benchmar
         day_seed = int(rng_sim.integers(2 ** 31))
         stream = run_day(cfg, b_star, fund_day, seed=day_seed)
         q = feat.extract(stream)
-        mids = stream.mid_minute_currency() * adj / cfg.open_price
+        mids = stream.mid_minute * cfg.tick_size * adj / cfg.open_price
         bar = bar_from_mids(mids)
         adj = bar.close
         bars.append(bar)

@@ -11,7 +11,7 @@ import numpy as np
 from . import features as feat
 from . import harness
 from . import simulator as sim
-from .agents import BehaviorVector
+from .agents import N_BEHAVIOR, BehaviorVector
 from .harness import ConfigError
 
 
@@ -97,8 +97,8 @@ def _dispatch(args, cfg: dict) -> int:
         b = d.b_star
         if args.b_norm is not None:
             vals = [float(v) for v in args.b_norm.split(",")]
-            if len(vals) != 5:
-                raise ConfigError("config field b-norm: expected 5 coordinates")
+            if len(vals) != N_BEHAVIOR:
+                raise ConfigError(f"config field b-norm: expected {N_BEHAVIOR} coordinates")
             b = BehaviorVector.from_normalized(np.array(vals))
         seed = d.seed if args.seed is None else args.seed
         stream = sim.run_day(bench.cfg, b, d.fund, seed=seed)

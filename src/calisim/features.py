@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from . import simulator as sim
 from .simulator import OrderStream
 
 FEATURE_NAMES = (
@@ -49,12 +48,6 @@ def lag_corr(x: np.ndarray, lag: int) -> float:
     return float(np.corrcoef(a, b)[0, 1])
 
 
-def _mid_slot_series(stream: OrderStream) -> np.ndarray:
-    if len(stream.mid_slot) == stream.slots_per_day:
-        return stream.mid_slot
-    return sim.replay(stream, check_trades=False)
-
-
 def extract(stream: OrderStream) -> np.ndarray:
     """The 13-dimensional feature vector of one day's stream.
 
@@ -71,7 +64,7 @@ def extract(stream: OrderStream) -> np.ndarray:
     vc = [lag_corr(r2, n) for n in range(1, 11)]
     vc_mean10 = float(np.mean(vc))
 
-    mid_slot = _mid_slot_series(stream)
+    mid_slot = stream.mid_slot
     sizes = []
     gaps = []
     for e in stream.events:
@@ -127,14 +120,7 @@ class FeatureNormalizer:
         return FeatureNormalizer(tensors[f"{prefix}.mean"], tensors[f"{prefix}.std"])
 
 
-def reconstruction_error(f_hat: np.ndarray, f_target: np.ndarray,
-                         norm: FeatureNormalizer) -> float:
-    """Summed squared error in z-scored feature space."""
-    d = norm.transform(f_hat) - norm.transform(f_target)
-    return float(d @ d)
-
-
 def reconstruction_error_z(z_hat: np.ndarray, z_target: np.ndarray) -> float:
-    """Same metric for inputs already in z-space."""
+    """Summed squared error between two feature vectors in z-space."""
     d = np.asarray(z_hat) - np.asarray(z_target)
     return float(d @ d)

@@ -116,6 +116,22 @@ def _load_benchmark(out_dir: Path) -> Benchmark:
     return Benchmark.load(p)
 
 
+def _load_surrogate(out_dir: Path) -> sur.SurrogateNet:
+    ck = Path(out_dir) / "surrogate.ck"
+    if not ck.exists():
+        raise FileNotFoundError(f"missing surrogate checkpoint {ck}; "
+                                "run train-surrogate first")
+    return sur.SurrogateNet.load(ck)
+
+
+def _load_metamarket(out_dir: Path, tag: str) -> mm.MetaMarket:
+    ck = Path(out_dir) / f"metamarket{tag}.ck"
+    if not ck.exists():
+        raise FileNotFoundError(f"missing calibrator checkpoint {ck}; "
+                                "run train-metamarket first")
+    return mm.MetaMarket.load(ck)
+
+
 def stage_train_surrogate(cfg: dict, out_dir: Path,
                           bench: Benchmark | None = None,
                           ) -> tuple[sur.SurrogateNet, sur.TrainCurves]:
@@ -149,13 +165,11 @@ def _build_corpus(bench: Benchmark, net: sur.SurrogateNet,
     records = []
     first = bench.n_warmup
     for d in bench.days[first - mm.WINDOW_DAYS + 1: first + bench.n_train]:
-        q_z = net.norm.transform(d.features)
         records.append(mm.DayRecord(
-            features_z=q_z,
+            features_z=net.norm.transform(d.features),
             fund_norm=sur.normalize_fundamental(d.fund),
             state_z=(state_norm.transform(d.state_assembled)
-                     if d.state_assembled is not None else np.zeros(N_STATE)),
-            target_z=q_z))
+                     if d.state_assembled is not None else np.zeros(N_STATE))))
     return records
 
 
@@ -165,12 +179,7 @@ def stage_train_metamarket(cfg: dict, out_dir: Path, w_s: float | None = None,
                            ) -> tuple[mm.MetaMarket, mm.MetaCurves]:
     out_dir = Path(out_dir)
     bench = bench or _load_benchmark(out_dir)
-    if net is None:
-        ck = out_dir / "surrogate.ck"
-        if not ck.exists():
-            raise FileNotFoundError(f"missing surrogate checkpoint {ck}; "
-                                    "run train-surrogate first")
-        net = sur.SurrogateNet.load(ck)
+    net = net or _load_surrogate(out_dir)
     mc = cfg["metamarket"]
     if w_s is None:
         w_s = float(mc["w_s"])
@@ -225,21 +234,11 @@ def stage_calibrate(cfg: dict, out_dir: Path, method: str, seed: int = 0,
     bench = bench or _load_benchmark(out_dir)
     sim.reset_sim_calls()
     if method == "calisim":
-        ck = out_dir / f"metamarket{metamarket_tag}.ck"
-        if not ck.exists():
-            raise FileNotFoundError(f"missing calibrator checkpoint {ck}; "
-                                    "run train-metamarket first")
-        k = mm.MetaMarket.load(ck)
-        rows = calibrate_calisim(bench, k)
+        rows = calibrate_calisim(bench, _load_metamarket(out_dir, metamarket_tag))
         source = "calisim" + metamarket_tag
         path = out_dir / f"calibration_{source}.csv"
     elif method in ("randsearch", "bayesopt"):
-        ckp = out_dir / "surrogate.ck"
-        if not ckp.exists():
-            raise FileNotFoundError(f"missing surrogate checkpoint {ckp}; "
-                                    "run train-surrogate first")
-        net = sur.SurrogateNet.load(ckp)
-        rows = calibrate_baseline(bench, method, net,
+        rows = calibrate_baseline(bench, method, _load_surrogate(out_dir),
                                   trials=int(cfg["baselines"]["trials"]), seed=seed)
         source = method
         path = out_dir / f"calibration_{source}_seed{seed}.csv"
@@ -314,10 +313,7 @@ def _eval_method(bench: Benchmark, source: str,
 def stage_evaluate(cfg: dict, out_dir: Path, bench: Benchmark | None = None) -> dict:
     out_dir = Path(out_dir)
     bench = bench or _load_benchmark(out_dir)
-    ckp = out_dir / "surrogate.ck"
-    if not ckp.exists():
-        raise FileNotFoundError(f"missing surrogate checkpoint {ckp}")
-    net = sur.SurrogateNet.load(ckp)
+    net = _load_surrogate(out_dir)
     eval_seeds = [int(s) for s in cfg["evaluate"]["eval_seeds"]]
 
     # Ground truth as a reference method: its reconstruction error is the
@@ -446,10 +442,7 @@ def stage_hypothesize(cfg: dict, out_dir: Path, day: int,
     for one test day and report the behavior delta."""
     out_dir = Path(out_dir)
     bench = _load_benchmark(out_dir)
-    ck = out_dir / f"metamarket{metamarket_tag}.ck"
-    if not ck.exists():
-        raise FileNotFoundError(f"missing calibrator checkpoint {ck}")
-    k = mm.MetaMarket.load(ck)
+    k = _load_metamarket(out_dir, metamarket_tag)
     by_day = {d.day: d for d in bench.days}
     if day not in by_day or by_day[day].state_assembled is None:
         raise ConfigError(f"config field day: day {day} has no assembled state")

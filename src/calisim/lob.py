@@ -45,10 +45,6 @@ class TradeEvent:
     maker_agent: int = -1
     taker_agent: int = -1
 
-    @property
-    def self_trade(self) -> bool:
-        return self.maker_agent == self.taker_agent and self.maker_agent >= 0
-
 
 class Book:
     """One day's order book. Prices are integer ticks, sizes integer lots.
@@ -58,9 +54,7 @@ class Book:
     any residue rests. The book is never left crossed.
     """
 
-    def __init__(self, tick_size: float, lot_size: int, open_price_ticks: int):
-        self.tick_size = tick_size
-        self.lot_size = lot_size
+    def __init__(self, open_price_ticks: int):
         self.open_price = open_price_ticks
         self.last_trade_price: int | None = None
         self._levels: tuple[dict[int, deque[LimitOrder]], dict[int, deque[LimitOrder]]] = ({}, {})
@@ -104,14 +98,13 @@ class Book:
 
     # -- operations -------------------------------------------------------------
 
-    def place_limit(self, order: LimitOrder, slot: int | None = None) -> list[TradeEvent]:
+    def place_limit(self, order: LimitOrder) -> list[TradeEvent]:
         if order.id in self._seen:
             raise DuplicateOrderError(f"order id {order.id} already used")
         if order.size < 1 or order.price < 1:
             raise ValueError("limit order needs size >= 1 and price >= 1 tick")
         self._seen.add(order.id)
-        slot = order.birth_slot if slot is None else slot
-        trades = self._match(order, slot)
+        trades = self._match(order, order.birth_slot)
         if order.size > 0:
             self._rest(order)
         return trades

@@ -47,7 +47,6 @@ class DayRecord:
     features_z: np.ndarray   # (13,)
     fund_norm: np.ndarray    # (F,) ln(P_k / P_0)
     state_z: np.ndarray      # (5,)
-    target_z: np.ndarray     # (13,) reproduction target, usually == features_z
 
 
 class MetaMarket:
@@ -225,7 +224,8 @@ class MetaCurves:
 
 
 def _windows(corpus: list[DayRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stack sliding windows: day t is calibrated from days t-W+1 .. t."""
+    """Stack sliding windows: day t is calibrated from days t-W+1 .. t and
+    reproduces its own features."""
     if len(corpus) < WINDOW_DAYS + 2:
         raise ValueError(f"corpus needs at least {WINDOW_DAYS + 2} days, got {len(corpus)}")
     feats = np.stack([d.features_z for d in corpus])
@@ -235,7 +235,7 @@ def _windows(corpus: list[DayRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return (wins,
             np.stack([d.state_z for d in tail]),
             np.stack([d.fund_norm for d in tail]),
-            np.stack([d.target_z for d in tail]))
+            feats[WINDOW_DAYS - 1:])
 
 
 def train(k: MetaMarket, corpus: list[DayRecord], surrogate: SurrogateNet,

@@ -16,10 +16,10 @@ import numpy as np
 import yaml
 
 from . import agents as ag
-from .agents import AgentAccount, AgentProfile, BehaviorVector, MinuteHistory
+from .agents import (SLOTS_PER_MINUTE, AgentAccount, AgentProfile, BehaviorVector,
+                     MinuteHistory)
 from .lob import Book, LimitOrder, Side, TradeEvent
 
-SLOTS_PER_MINUTE = 60
 FUNDAMENTAL_INTERVAL_SLOTS = 600  # ten minutes
 
 # Global accounting of simulator invocations (drives the efficiency
@@ -46,11 +46,10 @@ class SimConfig:
     open_price: float = 100.0
     alpha_ref: float = 2.5e-5
     lambda_band: float = 0.05
-    rng_seed: int = 0
 
     def __post_init__(self):
-        if self.slots_per_day < 60:
-            raise ValueError("slots_per_day must be >= 60")
+        if self.slots_per_day < SLOTS_PER_MINUTE:
+            raise ValueError(f"slots_per_day must be >= {SLOTS_PER_MINUTE}")
         if not (0.0 < self.wake_prob <= 1.0):
             raise ValueError("wake_prob must be in (0, 1]")
         if self.open_price <= 0 or self.tick_size <= 0:
@@ -105,14 +104,15 @@ class OrderStream:
     seed: int
     events: list[Event] = field(default_factory=list)
     mid_slot: np.ndarray = field(default_factory=lambda: np.zeros(0))     # ticks
-    mid_minute: np.ndarray = field(default_factory=lambda: np.zeros(0))   # ticks
 
     @property
     def open_price_ticks(self) -> int:
         return max(1, round(self.open_price / self.tick_size))
 
-    def mid_minute_currency(self) -> np.ndarray:
-        return self.mid_minute * self.tick_size
+    @property
+    def mid_minute(self) -> np.ndarray:
+        """Mid (ticks) at the end of each whole minute, a view of `mid_slot`."""
+        return self.mid_slot[SLOTS_PER_MINUTE - 1::SLOTS_PER_MINUTE]
 
 
 def settle(account: AgentAccount, trade: TradeEvent, side: Side, lot_size: int):
@@ -138,7 +138,7 @@ class _AgentState:
 
 
 def run_day(cfg: SimConfig, b: BehaviorVector, fund: FundamentalSeries,
-            seed: int | None = None) -> OrderStream:
+            seed: int) -> OrderStream:
     """Simulate one trading day and record the full order stream.
 
     Each wake-up calls `agents.make_order` once. `MinuteHistory.trend`
@@ -152,20 +152,18 @@ def run_day(cfg: SimConfig, b: BehaviorVector, fund: FundamentalSeries,
     if len(fund.values) != cfg.fundamental_len:
         raise ValueError(
             f"fundamental length {len(fund.values)} != expected {cfg.fundamental_len}")
-    seed = cfg.rng_seed if seed is None else seed
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5D]))
 
     profiles, accounts = ag.build_population(
         b, cfg.n_agents, cfg.alpha_ref, cfg.open_price_ticks, rng)
     states = [_AgentState(p, a) for p, a in zip(profiles, accounts)]
 
-    book = Book(cfg.tick_size, cfg.lot_size, cfg.open_price_ticks)
+    book = Book(cfg.open_price_ticks)
     history = MinuteHistory()
     trends: dict[int, tuple[float, float, int, float]] = {}  # by effective window
     stream = OrderStream(cfg.open_price, cfg.tick_size, cfg.lot_size,
                          cfg.slots_per_day, seed)
     mid_slot: list[float] = []
-    mid_minute: list[float] = []
 
     tick_size, lot_size = cfg.tick_size, cfg.lot_size
     band = (1.0 - cfg.lambda_band, 1.0 + cfg.lambda_band)
@@ -228,13 +226,11 @@ def run_day(cfg: SimConfig, b: BehaviorVector, fund: FundamentalSeries,
                 mid_cache = book.mid_price()
         mid_slot.append(mid_cache)
         if (slot + 1) % SLOTS_PER_MINUTE == 0:
-            mid_minute.append(mid_cache)
             history.append(mid_cache * tick_size)
             n_hist += 1
             trends.clear()
 
     stream.mid_slot = np.array(mid_slot)
-    stream.mid_minute = np.array(mid_minute)
     return stream
 
 
@@ -276,7 +272,7 @@ def _apply_place(states: list[_AgentState], book: Book, order: LimitOrder,
                                int(order.side), order.price, order.size, -1))
     seq += 1
     taker = states[order.agent]
-    trades = book.place_limit(order, slot)
+    trades = book.place_limit(order)
     for tr in trades:
         maker = states[tr.maker_agent]
         # maker leg releases its resting reservation at the trade price
@@ -305,10 +301,12 @@ def _apply_place(states: list[_AgentState], book: Book, order: LimitOrder,
 def replay(stream: OrderStream, check_trades: bool = True) -> np.ndarray:
     """Re-run the recorded events through a fresh book.
 
-    Returns the per-slot mid series (ticks). With `check_trades`, asserts
-    the book reproduces the recorded TRADE events exactly.
+    Returns the per-slot mid series (ticks). With `check_trades`, raises
+    AssertionError unless the book reproduces the recorded TRADE events
+    exactly, every CANCEL finds its order resting, and no event lies past
+    the last slot.
     """
-    book = Book(stream.tick_size, stream.lot_size, stream.open_price_ticks)
+    book = Book(stream.open_price_ticks)
     mid_slot = np.empty(stream.slots_per_day)
     ev_iter = iter(stream.events)
     pending = next(ev_iter, None)
@@ -318,19 +316,23 @@ def replay(stream: OrderStream, check_trades: bool = True) -> np.ndarray:
             if e.kind == "PLACE":
                 order = LimitOrder(e.order_id, e.agent, Side(e.side),
                                    e.price, e.size, slot)
-                trades = book.place_limit(order, slot)
-                for tr in trades:
+                for tr in book.place_limit(order):
                     pending = next(ev_iter, None)
-                    if check_trades:
-                        assert pending is not None and pending.kind == "TRADE"
-                        assert (pending.order_id, pending.match_id,
-                                pending.price, pending.size) == \
-                               (tr.maker, tr.taker, tr.price, tr.size), \
-                            "replay diverged from recorded trades"
+                    if check_trades and (
+                            pending is None or pending.kind != "TRADE"
+                            or (pending.order_id, pending.match_id, pending.price,
+                                pending.size) != (tr.maker, tr.taker, tr.price, tr.size)):
+                        raise AssertionError("replay diverged from recorded trades")
             elif e.kind == "CANCEL":
-                book.cancel(e.order_id)
+                if not book.cancel(e.order_id) and check_trades:
+                    raise AssertionError(f"cancel of order {e.order_id}, not resting")
+            elif check_trades:
+                raise AssertionError(f"{e.kind} event at slot {slot} that no order produced")
             pending = next(ev_iter, None)
         mid_slot[slot] = book.mid_price()
+    if check_trades and pending is not None:
+        raise AssertionError(f"event at slot {pending.slot} not replayed: "
+                             "out of order or past the last slot")
     return mid_slot
 
 
@@ -367,20 +369,28 @@ def write_stream(stream: OrderStream, prefix: Path):
 
 
 def read_stream(prefix: Path) -> OrderStream:
+    """Read a stream written by `write_stream`. The per-slot mids come from
+    replaying the events, which must reproduce the recorded trades and the
+    per-minute mids on file; a file that does not raises ValueError naming it.
+    """
     prefix = Path(prefix)
     with open(f"{prefix}.meta.yaml") as f:
         meta = yaml.safe_load(f)
     stream = OrderStream(meta["open_price"], meta["tick_size"], meta["lot_size"],
                          meta["slots_per_day"], meta["seed"])
-    with open(f"{prefix}.events.csv", newline="") as f:
-        for row in csv.DictReader(f):
-            stream.events.append(Event(
-                int(row["slot"]), int(row["seq"]), row["kind"],
-                int(row["order_id"]), int(row["agent"]), int(row["side"]),
-                int(row["price_ticks"]), int(row["size_lots"]), int(row["match_id"])))
-    mids = []
+    try:   # a cut row reads as None fields (TypeError)
+        with open(f"{prefix}.events.csv", newline="") as f:
+            for row in csv.DictReader(f):
+                stream.events.append(Event(
+                    int(row["slot"]), int(row["seq"]), row["kind"],
+                    int(row["order_id"]), int(row["agent"]), int(row["side"]),
+                    int(row["price_ticks"]), int(row["size_lots"]), int(row["match_id"])))
+        stream.mid_slot = replay(stream, check_trades=True)
+    except (AssertionError, TypeError, ValueError) as exc:
+        raise ValueError(f"{prefix}.events.csv: {exc}") from exc
     with open(f"{prefix}.mids.csv", newline="") as f:
-        for row in csv.DictReader(f):
-            mids.append(float(row["mid_ticks"]))
-    stream.mid_minute = np.array(mids)
+        mids = [float(row["mid_ticks"]) for row in csv.DictReader(f)]
+    if not np.array_equal(mids, stream.mid_minute):
+        raise ValueError(f"{prefix}.mids.csv: per-minute mids differ from "
+                         "the replayed events")
     return stream

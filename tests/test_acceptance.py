@@ -165,7 +165,7 @@ def test_criterion_02_lob_invariants():
 
     def run_script(seed):
         rng = np.random.default_rng(seed)
-        book = Book(tick_size=0.01, lot_size=1, open_price_ticks=10000)
+        book = Book(open_price_ticks=10000)
         placed = traded = cancelled = discarded = 0
         live, trades_log, mids = [], [], []
         for oid in range(10 ** 4):

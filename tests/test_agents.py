@@ -15,7 +15,6 @@ from calisim.agents import (
     AgentProfile,
     BehaviorVector,
     MinuteHistory,
-    behavior_variation,
     build_population,
     derived_horizon,
     derived_risk_aversion,
@@ -49,16 +48,18 @@ def test_from_normalized_clips():
 
 
 def test_behavior_variation_examples():
-    mid = BehaviorVector.from_normalized([0.5] * 5)
-    assert behavior_variation(mid, mid) == 0.0
-    # one coordinate moved by a full unit of normalized range
-    assert behavior_variation(BehaviorVector.from_normalized([0, 0.5, 0.5, 0.5, 0.5]),
-                              BehaviorVector.from_normalized([1, 0.5, 0.5, 0.5, 0.5])
-                              ) == pytest.approx(1.0)
+    """Day-to-day variation as the evaluation and the calibrator's curves
+    compute it: squared steps between consecutive normalized vectors."""
+    def variation(*coords):
+        bs = np.array([BehaviorVector.from_normalized(c).normalized() for c in coords])
+        return np.sum(np.diff(bs, axis=0) ** 2, axis=1)
+
+    assert variation([0.5] * 5, [0.5] * 5)[0] == 0.0
+    # one coordinate moved by a full unit of normalized range, then back by half
+    steps = variation([0, 0.5, 0.5, 0.5, 0.5], [1, 0.5, 0.5, 0.5, 0.5], [0.5] * 5)
+    assert steps == pytest.approx([1.0, 0.25])
     # all five coordinates moved by 0.5: 5 * 0.25 = 1.25
-    assert behavior_variation(BehaviorVector.from_normalized([0.0] * 5),
-                              BehaviorVector.from_normalized([0.5] * 5)
-                              ) == pytest.approx(1.25)
+    assert variation([0.0] * 5, [0.5] * 5)[0] == pytest.approx(1.25)
 
 
 # -- population draws ------------------------------------------------------------

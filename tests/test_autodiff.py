@@ -215,6 +215,17 @@ def test_checkpoint_roundtrip(tmp_path):
         assert np.array_equal(back[k], tensors[k])
 
 
+@pytest.mark.parametrize("change", ["cut", "append"])
+def test_checkpoint_corruption_names_the_file(tmp_path, change):
+    path = tmp_path / "x.ck"
+    save_tensors(path, {"vec": np.arange(4.0), "mat": np.ones((2, 3))})
+    data = path.read_bytes()
+    path.write_bytes(data[:-1] if change == "cut" else data + b"\x00")
+    match = "truncated" if change == "cut" else "1 trailing bytes"
+    with pytest.raises(ValueError, match=f"x.ck: .*{match}"):
+        load_tensors(path)
+
+
 def test_checkpoint_bad_magic_rejected(tmp_path):
     path = tmp_path / "bad.ck"
     path.write_bytes(b"NOPE" + b"\x00" * 16)

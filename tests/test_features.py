@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from calisim import features as feat
-from calisim.features import FeatureNormalizer, reconstruction_error, returns
+from calisim.features import FeatureNormalizer, reconstruction_error_z, returns
 from calisim.simulator import Event, OrderStream
 
 
@@ -14,10 +14,9 @@ def make_stream(minute_mids_ticks, events, slots_per_day=None, mid_slot=None):
     slots = slots_per_day or 60 * len(minute_mids_ticks)
     s = OrderStream(open_price=100.0, tick_size=0.01, lot_size=1,
                     slots_per_day=slots, seed=0, events=list(events))
-    s.mid_minute = np.asarray(minute_mids_ticks, dtype=float)
     if mid_slot is None:
-        # piecewise-constant per-slot mid matching the per-minute series
-        mid_slot = np.repeat(s.mid_minute, 60)[:slots]
+        # piecewise-constant per-slot mid whose minute ends read the given mids
+        mid_slot = np.repeat(np.asarray(minute_mids_ticks, dtype=float), 60)[:slots]
     s.mid_slot = np.asarray(mid_slot, dtype=float)
     return s
 
@@ -175,13 +174,13 @@ def unit_normalizer() -> FeatureNormalizer:
 def test_reconstruction_error_examples():
     norm = unit_normalizer()
     f = np.arange(13.0)
-    assert reconstruction_error(f, f, norm) == 0.0
+    assert reconstruction_error_z(norm.transform(f), norm.transform(f)) == 0.0
     g = f.copy()
     g[0] += 1.0
-    assert reconstruction_error(g, f, norm) == pytest.approx(1.0)
+    assert reconstruction_error_z(norm.transform(g), norm.transform(f)) == pytest.approx(1.0)
     h = f.copy()
     h[:5] += 1.0
-    assert reconstruction_error(h, f, norm) == pytest.approx(5.0)
+    assert reconstruction_error_z(norm.transform(h), norm.transform(f)) == pytest.approx(5.0)
 
 
 def test_reconstruction_error_uses_z_space():
@@ -189,7 +188,7 @@ def test_reconstruction_error_uses_z_space():
     f = np.zeros(13)
     g = np.zeros(13)
     g[0] = 2.0  # one raw unit of 2 = one z unit
-    assert reconstruction_error(g, f, norm) == pytest.approx(1.0)
+    assert reconstruction_error_z(norm.transform(g), norm.transform(f)) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("rows, dead", [

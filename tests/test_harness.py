@@ -120,6 +120,15 @@ def test_calibrate_requires_checkpoints(tmp_path):
         harness.stage_calibrate(TINY_CFG, tmp_path, "gradient", bench=bench)
 
 
+def test_evaluate_and_hypothesize_name_the_stage_to_run(tmp_path):
+    bench = bm.gen_benchmark("tiny", seed=0)
+    with pytest.raises(FileNotFoundError, match="run train-surrogate first"):
+        harness.stage_evaluate(TINY_CFG, tmp_path, bench=bench)
+    bench.save(tmp_path / "benchmark")
+    with pytest.raises(FileNotFoundError, match="run train-metamarket first"):
+        harness.stage_hypothesize(TINY_CFG, tmp_path, bench.test_days[0].day, {})
+
+
 def test_sim_call_accounting(pipeline):
     """The manifest's counters: zero simulator calls for the one-shot
     calibrator, exactly trials-per-day for each search baseline."""

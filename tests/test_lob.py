@@ -17,7 +17,7 @@ from calisim.lob import (
 
 
 def make_book(open_ticks: int = 10000) -> Book:
-    return Book(tick_size=0.01, lot_size=1, open_price_ticks=open_ticks)
+    return Book(open_price_ticks=open_ticks)
 
 
 def lo(oid, side, price, size, agent=0, slot=0) -> LimitOrder:
@@ -119,7 +119,7 @@ def test_self_trade_permitted_and_flagged():
     book = make_book()
     book.place_limit(lo(1, Side.ASK, 100, 1, agent=7))
     trades = book.place_limit(lo(2, Side.BID, 100, 1, agent=7))
-    assert len(trades) == 1 and trades[0].self_trade
+    assert len(trades) == 1 and trades[0].maker_agent == trades[0].taker_agent == 7
 
 
 def test_trade_at_maker_price_even_when_taker_bids_higher():

@@ -234,8 +234,7 @@ def make_corpus(n_days=WINDOW_DAYS + 4, seed=10):
     rng = np.random.default_rng(seed)
     return [DayRecord(features_z=rng.normal(size=13),
                       fund_norm=rng.normal(0, 0.05, FUND_DIM),
-                      state_z=rng.normal(size=5),
-                      target_z=rng.normal(size=13))
+                      state_z=rng.normal(size=5))
             for _ in range(n_days)]
 
 

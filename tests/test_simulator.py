@@ -196,7 +196,7 @@ def test_stale_order_filled_earlier_in_the_batch_emits_no_cancel():
     batch is gone when its cancel comes up: no CANCEL event, and the
     owner's dict and reservation stay consistent."""
     states = [_agent(tau_i=10), _agent(tau_i=10)]
-    book = Book(0.01, 1, 10000)
+    book = Book(10000)
     stream = sim.OrderStream(100.0, 0.01, 1, 3600, 0)
     ask = LimitOrder(0, 0, Side.ASK, 10000, 3, 0)
     seq = sim._apply_place(states, book, ask, 0, 0, stream, 1)
@@ -218,7 +218,7 @@ def test_partly_filled_maker_stays_until_cancelled():
     """A partly filled maker stays with its owner, and cancelling it
     releases the rest of its reservation."""
     states = [_agent(tau_i=10), _agent(tau_i=10)]
-    book = Book(0.01, 1, 10000)
+    book = Book(10000)
     stream = sim.OrderStream(100.0, 0.01, 1, 3600, 0)
     seq = sim._apply_place(states, book, LimitOrder(0, 0, Side.ASK, 10000, 5, 0),
                            0, 0, stream, 1)
@@ -282,4 +282,52 @@ def test_stream_roundtrip(tmp_path, day_stream):
     assert back.slots_per_day == day_stream.slots_per_day
     assert back.seed == day_stream.seed
     assert back.events == day_stream.events
+    assert np.array_equal(back.mid_slot, day_stream.mid_slot)
     assert np.array_equal(back.mid_minute, day_stream.mid_minute)
+
+
+def test_stream_roundtrip_cut_short_minute(tmp_path):
+    """650 slots: ten whole minutes and a cut-short eleventh, which has no
+    minute mid, in memory or on file."""
+    cfg = SimConfig(slots_per_day=650, n_agents=50)
+    stream = run_day(cfg, B_MID, flat_fund(cfg), seed=5)
+    assert len(stream.mid_slot) == 650 and len(stream.mid_minute) == 10
+    assert np.array_equal(stream.mid_minute, stream.mid_slot[59:600:60])
+    write_stream(stream, tmp_path / "day")
+    assert len((tmp_path / "day.mids.csv").read_text().splitlines()) == 1 + 10
+    back = read_stream(tmp_path / "day")
+    assert back.events == stream.events
+    assert np.array_equal(back.mid_slot, stream.mid_slot)
+
+
+# case -> (file, kind of the first row changed or None, column, change, error)
+CORRUPTIONS = {
+    "trade_price": ("events", "TRADE", "price_ticks", lambda v: str(int(v) + 1),
+                    r"day\.events\.csv: replay diverged"),
+    "slot_past_day": ("events", "PLACE", "slot", lambda v: "999999",
+                      r"day\.events\.csv: event at slot 999999 not replayed"),
+    "cancel_id": ("events", "CANCEL", "order_id", lambda v: "999999",
+                  r"day\.events\.csv: cancel of order 999999, not resting"),
+    "stray_trade": ("events", "CANCEL", "kind", lambda v: "TRADE",
+                    r"day\.events\.csv: TRADE event at slot \d+ that no order produced"),
+    "minute_mid": ("mids", None, "mid_ticks", lambda v: repr(float(v) + 0.5),
+                   r"day\.mids\.csv: per-minute mids differ"),
+}
+
+
+@pytest.mark.parametrize("case", CORRUPTIONS)
+def test_read_stream_rejects_corrupt_file(tmp_path, day_stream, case):
+    """One altered cell in a written stream fails the read, naming the file."""
+    suffix, kind, column, change, match = CORRUPTIONS[case]
+    write_stream(day_stream, tmp_path / "day")
+    path = tmp_path / f"day.{suffix}.csv"
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    i = next(i for i, line in enumerate(lines[1:], 1)
+             if kind is None or line.split(",")[header.index("kind")] == kind)
+    cells = lines[i].split(",")
+    cells[header.index(column)] = change(cells[header.index(column)])
+    lines[i] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=match):
+        read_stream(tmp_path / "day")
