@@ -22,9 +22,9 @@ EI_CANDIDATES = 1024
 NOISE_VAR = 1e-6
 
 
-def _score(b_norm: np.ndarray, cfg: SimConfig, fund: FundamentalSeries,
+def _score(b: BehaviorVector, cfg: SimConfig, fund: FundamentalSeries,
            target_z: np.ndarray, norm: FeatureNormalizer, seed: int) -> float:
-    b = BehaviorVector.from_normalized(b_norm)
+    """Reconstruction error of one simulated day against z-scored targets."""
     q = feat.extract(run_day(cfg, b, fund, seed=seed))
     return feat.reconstruction_error_z(norm.transform(q), target_z)
 
@@ -41,11 +41,11 @@ def random_search(cfg: SimConfig, fund: FundamentalSeries, target_z: np.ndarray,
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA5]))
     best_b, best_s = None, np.inf
     for t in range(trials):
-        cand = rng.random(N_BEHAVIOR)
-        s = _score(cand, cfg, fund, target_z, norm, seed=int(rng.integers(2 ** 31)))
+        b = BehaviorVector.from_normalized(rng.random(N_BEHAVIOR))
+        s = _score(b, cfg, fund, target_z, norm, seed=int(rng.integers(2 ** 31)))
         if s < best_s:
-            best_b, best_s = cand, s
-    return BehaviorVector.from_normalized(best_b), float(best_s)
+            best_b, best_s = b, s
+    return best_b, float(best_s)
 
 
 # -- Gaussian process ------------------------------------------------------------
@@ -136,21 +136,21 @@ def bayes_opt(cfg: SimConfig, fund: FundamentalSeries, target_z: np.ndarray,
         raise ValueError(f"trials must be > {WARM_STARTS} warm starts")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB0]))
     xs, ys = [], []
-    for _ in range(WARM_STARTS):
-        cand = rng.random(N_BEHAVIOR)
+    for t in range(trials):
+        if t < WARM_STARTS:
+            cand = rng.random(N_BEHAVIOR)
+        else:
+            gp = GPModel.fit(np.array(xs), np.array(ys))
+            # half uniform, half local jitter around the incumbent
+            half = EI_CANDIDATES // 2
+            incumbent = xs[int(np.argmin(ys))]
+            local = np.clip(incumbent + rng.normal(0.0, 0.1, (half, N_BEHAVIOR)), 0.0, 1.0)
+            cands = np.vstack([rng.random((EI_CANDIDATES - half, N_BEHAVIOR)), local])
+            mu, var = gp.posterior(cands)
+            ei = expected_improvement(mu, var, best=float(np.min(ys)))
+            cand = cands[int(np.argmax(ei))]
         xs.append(cand)
-        ys.append(_score(cand, cfg, fund, target_z, norm, seed=int(rng.integers(2 ** 31))))
-    for _ in range(trials - WARM_STARTS):
-        gp = GPModel.fit(np.array(xs), np.array(ys))
-        # half uniform, half local jitter around the incumbent
-        half = EI_CANDIDATES // 2
-        incumbent = xs[int(np.argmin(ys))]
-        local = np.clip(incumbent + rng.normal(0.0, 0.1, (half, N_BEHAVIOR)), 0.0, 1.0)
-        cands = np.vstack([rng.random((EI_CANDIDATES - half, N_BEHAVIOR)), local])
-        mu, var = gp.posterior(cands)
-        ei = expected_improvement(mu, var, best=float(np.min(ys)))
-        cand = cands[int(np.argmax(ei))]
-        xs.append(cand)
-        ys.append(_score(cand, cfg, fund, target_z, norm, seed=int(rng.integers(2 ** 31))))
+        ys.append(_score(BehaviorVector.from_normalized(cand), cfg, fund, target_z, norm,
+                         seed=int(rng.integers(2 ** 31))))
     k = int(np.argmin(ys))
     return BehaviorVector.from_normalized(xs[k]), float(ys[k])

@@ -8,7 +8,6 @@ one lets calibration quality be measured directly as ||b_hat - b*||.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,6 +19,7 @@ from .agents import N_BEHAVIOR, BehaviorVector
 from .marketstate import (N_STATE, WINDOW_DAYS, DailyBar, MacroTable, assemble,
                           bar_from_mids, noise, trend)
 from .simulator import FundamentalSeries, SimConfig, run_day
+from .tables import numbered, read_table, write_table
 
 TRADING_DAYS_PER_MONTH = 21
 BASE_YEAR = 2020
@@ -107,23 +107,11 @@ class Benchmark:
                              lambda_band=self.cfg.lambda_band))
         with open(out_dir / "benchmark.yaml", "w") as f:
             yaml.safe_dump(meta, f, sort_keys=False)
-        fdim = self.cfg.fundamental_len
-        with open(out_dir / "days.csv", "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["day", "year", "month", "seed",
-                        *[f"b{i+1}" for i in range(N_BEHAVIOR)],
-                        *[f"xp{i+1}" for i in range(N_STATE)],
-                        *[f"xa{i+1}" for i in range(N_STATE)],
-                        "bar_open", "bar_high", "bar_low", "bar_close",
-                        *[f"q{i+1}" for i in range(feat.N_FEATURES)],
-                        *[f"f{i+1}" for i in range(fdim)]])
-            for d in self.days:
-                xa = d.state_assembled if d.state_assembled is not None \
-                    else np.full(N_STATE, np.nan)
-                w.writerow([d.day, d.year, d.month, d.seed,
-                            *d.b_star.as_array(), *d.state_planted, *xa,
-                            d.bar.open, d.bar.high, d.bar.low, d.bar.close,
-                            *d.features, *d.fund.values])
+        write_table(out_dir / "days.csv", _days_header(self.cfg.fundamental_len), (
+            [d.day, d.year, d.month, d.seed, *d.b_star.as_array(), *d.state_planted,
+             *(np.full(N_STATE, np.nan) if d.state_assembled is None else d.state_assembled),
+             d.bar.open, d.bar.high, d.bar.low, d.bar.close, *d.features, *d.fund.values]
+            for d in self.days))
 
     @staticmethod
     def load(out_dir: Path) -> "Benchmark":
@@ -132,25 +120,12 @@ class Benchmark:
             meta = yaml.safe_load(f)
         cfg = SimConfig(**meta["cfg"])
         macro = MacroTable.read(out_dir / "macro.csv")
-        fdim = cfg.fundamental_len
-        days = []
-        with open(out_dir / "days.csv", newline="") as f:
-            for row in csv.DictReader(f):
-                xa = np.array([float(row[f"xa{i+1}"]) for i in range(N_STATE)])
-                days.append(BenchDay(
-                    day=int(row["day"]), year=int(row["year"]),
-                    month=int(row["month"]), seed=int(row["seed"]),
-                    b_star=BehaviorVector.from_array(
-                        [float(row[f"b{i+1}"]) for i in range(N_BEHAVIOR)]),
-                    state_planted=np.array(
-                        [float(row[f"xp{i+1}"]) for i in range(N_STATE)]),
-                    fund=FundamentalSeries(np.array(
-                        [float(row[f"f{i+1}"]) for i in range(fdim)])),
-                    features=np.array(
-                        [float(row[f"q{i+1}"]) for i in range(feat.N_FEATURES)]),
-                    bar=DailyBar(float(row["bar_open"]), float(row["bar_high"]),
-                                 float(row["bar_low"]), float(row["bar_close"])),
-                    state_assembled=None if np.any(np.isnan(xa)) else xa))
+        path = out_dir / "days.csv"
+        days = read_table(path, _days_header(cfg.fundamental_len), _parse_day)
+        n_days = meta["n_warmup"] + meta["n_train"] + meta["n_test"]
+        if [d.day for d in days] != list(range(n_days)):
+            raise ValueError(f"{path}: expected days 0..{n_days - 1} in order, "
+                             "as benchmark.yaml declares")
         return Benchmark(profile=meta["profile"], seed=meta["seed"],
                          state_free=meta["state_free"], cfg=cfg, macro=macro,
                          days=days, n_warmup=meta["n_warmup"],
@@ -158,6 +133,25 @@ class Benchmark:
                          a_map=np.array(meta["a_map"]),
                          surrogate_per_day=meta["surrogate_per_day"],
                          surrogate_replicates=meta["surrogate_replicates"])
+
+
+def _days_header(fdim: int) -> list[str]:
+    return ["day", "year", "month", "seed", *numbered("b", N_BEHAVIOR),
+            *numbered("xp", N_STATE), *numbered("xa", N_STATE),
+            "bar_open", "bar_high", "bar_low", "bar_close",
+            *numbered("q", feat.N_FEATURES), *numbered("f", fdim)]
+
+
+def _parse_day(row: list[str]) -> BenchDay:
+    b, xp, xa, bar, q, f = np.split(
+        np.array([float(v) for v in row[4:]]),
+        np.cumsum([N_BEHAVIOR, N_STATE, N_STATE, 4, feat.N_FEATURES]))
+    day, year, month, seed = (int(v) for v in row[:4])
+    return BenchDay(day=day, year=year, month=month, seed=seed,
+                    b_star=BehaviorVector.from_array(b), state_planted=xp,
+                    fund=FundamentalSeries(f), features=q,
+                    bar=DailyBar(*(float(v) for v in bar)),
+                    state_assembled=None if np.any(np.isnan(xa)) else xa)
 
 
 def _calendar(n_days: int) -> list[tuple[int, int]]:

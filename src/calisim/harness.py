@@ -7,7 +7,6 @@ with a manifest.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,7 +21,7 @@ from . import surrogate as sur
 from .agents import BEHAVIOR_NAMES, BehaviorVector
 from .benchmark import Benchmark, gen_benchmark
 from .marketstate import N_STATE, STATE_NAMES
-from .simulator import run_day
+from .tables import write_table
 
 METHODS = ("calisim", "randsearch", "bayesopt")
 ABLATION = "calisim_ws0"
@@ -148,9 +147,8 @@ def stage_train_surrogate(cfg: dict, out_dir: Path,
                                       batch_size=int(sc["batch_size"]),
                                       seed=int(cfg["seed"]))
     net.save(out_dir / "surrogate.ck")
-    _write_curves(out_dir / "surrogate_curves.csv",
-                  ["epoch", "train_loss", "val_loss"],
-                  zip(range(len(curves.train_loss)), curves.train_loss, curves.val_loss))
+    write_table(out_dir / "surrogate_curves.csv", ["epoch", "train_loss", "val_loss"],
+                zip(range(len(curves.train_loss)), curves.train_loss, curves.val_loss))
     update_manifest(out_dir, surrogate=str(out_dir / "surrogate.ck"),
                     surrogate_best_epoch=curves.best_epoch,
                     surrogate_val0=float(curves.val_loss[0]),
@@ -192,9 +190,8 @@ def stage_train_metamarket(cfg: dict, out_dir: Path, w_s: float | None = None,
                       epochs=int(mc["epochs"]), lr=float(mc["lr"]),
                       seed=int(cfg["seed"]))
     k.save(out_dir / f"metamarket{tag}.ck")
-    _write_curves(out_dir / f"metamarket{tag}_curves.csv",
-                  ["epoch", "recon", "variation"],
-                  zip(range(len(curves.recon)), curves.recon, curves.variation))
+    write_table(out_dir / f"metamarket{tag}_curves.csv", ["epoch", "recon", "variation"],
+                zip(range(len(curves.recon)), curves.recon, curves.variation))
     update_manifest(out_dir, **{f"metamarket{tag}": str(out_dir / f"metamarket{tag}.ck"),
                                 f"metamarket{tag}_recon0": float(curves.recon[0]),
                                 f"metamarket{tag}_recon_final": float(curves.recon[-1]),
@@ -291,11 +288,8 @@ def _eval_method(bench: Benchmark, source: str,
                                axis=1))
         for d in days:
             target_z = net.norm.transform(d.features)
-            for es in eval_seeds:
-                stream = run_day(bench.cfg, cal[d.day], d.fund,
-                                 seed=(es << 24) ^ d.seed)
-                recon.append(feat.reconstruction_error_z(
-                    net.norm.transform(feat.extract(stream)), target_z))
+            recon.extend(bl._score(cal[d.day], bench.cfg, d.fund, target_z, net.norm,
+                                   seed=(es << 24) ^ d.seed) for es in eval_seeds)
         states = np.array([d.state_assembled for d in days])
         corr = np.zeros((len(STATE_NAMES), len(BEHAVIOR_NAMES)))
         for i in range(len(STATE_NAMES)):
@@ -365,31 +359,15 @@ def stage_evaluate(cfg: dict, out_dir: Path, bench: Benchmark | None = None) -> 
 
 
 def _write_distribution(path: Path, evals: dict[str, MethodEval], field: str):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["source", "value"])
-        for s, e in evals.items():
-            for v in getattr(e, field):
-                w.writerow([s, v])
+    write_table(path, ["source", "value"],
+                ([s, v] for s, e in evals.items() for v in getattr(e, field)))
 
 
 def _write_correlation(path: Path, evals: dict[str, MethodEval]):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["source", "indicator", *BEHAVIOR_NAMES, "mean_abs_rho",
-                    "reference"])
-        for s, e in evals.items():
-            for i, ind in enumerate(STATE_NAMES):
-                ref = REFERENCE_MEAN_ABS_RHO.get(s, {}).get(ind, "")
-                w.writerow([s, ind, *e.corr[i], e.corr[i].mean(), ref])
-
-
-def _write_curves(path: Path, header: list[str], rows):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        for row in rows:
-            w.writerow(list(row))
+    write_table(path, ["source", "indicator", *BEHAVIOR_NAMES, "mean_abs_rho", "reference"],
+                ([s, ind, *e.corr[i], e.corr[i].mean(),
+                  REFERENCE_MEAN_ABS_RHO.get(s, {}).get(ind, "")]
+                 for s, e in evals.items() for i, ind in enumerate(STATE_NAMES)))
 
 
 _PLOT_TEMPLATE = '''\

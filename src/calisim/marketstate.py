@@ -5,15 +5,17 @@ States are z-scored with `features.FeatureNormalizer`."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .tables import read_table, write_table
+
 STATE_NAMES = ("cpi", "ppi", "pmi", "trend", "noise")
 N_STATE = len(STATE_NAMES)
 WINDOW_DAYS = 20  # one trading month
+MACRO_HEADER = ["year", "month", "cpi", "ppi", "pmi"]
 
 
 @dataclass(frozen=True)
@@ -72,19 +74,12 @@ class MacroTable:
 
     @staticmethod
     def read(path: Path) -> "MacroTable":
-        rows = {}
-        with open(path, newline="") as f:
-            for row in csv.DictReader(f):
-                key = (int(row["year"]), int(row["month"]))
-                rows[key] = (float(row["cpi"]), float(row["ppi"]), float(row["pmi"]))
-        return MacroTable(rows)
+        return MacroTable(dict(read_table(path, MACRO_HEADER, lambda row: (
+            (int(row[0]), int(row[1])), tuple(float(v) for v in row[2:])))))
 
     def write(self, path: Path):
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["year", "month", "cpi", "ppi", "pmi"])
-            for (y, m), vals in sorted(self.rows.items()):
-                w.writerow([y, m, *vals])
+        write_table(path, MACRO_HEADER,
+                    ([y, m, *vals] for (y, m), vals in sorted(self.rows.items())))
 
     def lookup(self, year: int, month: int) -> tuple[float, float, float]:
         key = (year, month)

@@ -12,7 +12,6 @@ consistency, and market-state consistency (triplet) losses.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,6 +24,7 @@ from .autodiff import Tensor
 from .features import N_FEATURES, FeatureNormalizer
 from .marketstate import N_STATE, WINDOW_DAYS
 from .surrogate import SurrogateNet
+from .tables import numbered, read_table, write_table
 
 HIDDEN = 64
 ESTIMATOR_PARAMS = HIDDEN * N_BEHAVIOR + N_BEHAVIOR  # 325
@@ -293,22 +293,23 @@ def train(k: MetaMarket, corpus: list[DayRecord], surrogate: SurrogateNet,
 # -- calibration output ----------------------------------------------------------
 
 
+CALIBRATION_HEADER = ["day", *numbered("b", N_BEHAVIOR),
+                      *(f"{c}_norm" for c in numbered("b", N_BEHAVIOR)), "source"]
+
+
 def write_calibration(path: Path, rows: list[tuple[int, BehaviorVector, str]]):
     """CSV of calibrated behavior vectors: raw and normalized coordinates."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["day",
-                    *[f"b{i+1}" for i in range(N_BEHAVIOR)],
-                    *[f"b{i+1}_norm" for i in range(N_BEHAVIOR)],
-                    "source"])
-        for day, b, source in rows:
-            w.writerow([day, *b.as_array(), *b.normalized(), source])
+    write_table(path, CALIBRATION_HEADER,
+                ([day, *b.as_array(), *b.normalized(), source] for day, b, source in rows))
+
+
+def _parse_calibration(row: list[str]) -> tuple[str, int, BehaviorVector]:
+    coords = [float(v) for v in row[1:-1]]   # raw, then normalized
+    return row[-1], int(row[0]), BehaviorVector.from_array(coords[:N_BEHAVIOR])
 
 
 def read_calibration(path: Path) -> dict[str, dict[int, BehaviorVector]]:
     out: dict[str, dict[int, BehaviorVector]] = {}
-    with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            b = BehaviorVector.from_array([float(row[f"b{i+1}"]) for i in range(N_BEHAVIOR)])
-            out.setdefault(row["source"], {})[int(row["day"])] = b
+    for source, day, b in read_table(path, CALIBRATION_HEADER, _parse_calibration):
+        out.setdefault(source, {})[day] = b
     return out

@@ -8,7 +8,7 @@ seed.
 
 from __future__ import annotations
 
-import csv
+import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,6 +19,7 @@ from . import agents as ag
 from .agents import (SLOTS_PER_MINUTE, AgentAccount, AgentProfile, BehaviorVector,
                      MinuteHistory)
 from .lob import Book, LimitOrder, Side, TradeEvent
+from .tables import read_table, write_table
 
 FUNDAMENTAL_INTERVAL_SLOTS = 600  # ten minutes
 
@@ -340,56 +341,61 @@ def replay(stream: OrderStream, check_trades: bool = True) -> np.ndarray:
 
 EVENT_HEADER = ["slot", "seq", "kind", "order_id", "agent", "side",
                 "price_ticks", "size_lots", "match_id"]
+MIDS_HEADER = ["minute", "mid_ticks"]
+
+
+def _sha256(path: str) -> str:
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
 
 
 def write_stream(stream: OrderStream, prefix: Path):
-    """Write events CSV, per-minute mid CSV, and a metadata sidecar."""
+    """Write events CSV, per-minute mid CSV, and a metadata sidecar that
+    records the events file's SHA-256."""
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
-    with open(f"{prefix}.events.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(EVENT_HEADER)
-        for e in stream.events:
-            w.writerow([e.slot, e.seq, e.kind, e.order_id, e.agent, e.side,
-                        e.price, e.size, e.match_id])
-    with open(f"{prefix}.mids.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["minute", "mid_ticks"])
-        for i, m in enumerate(stream.mid_minute):
-            w.writerow([i, repr(float(m))])
+    events = f"{prefix}.events.csv"
+    write_table(events, EVENT_HEADER, (
+        [e.slot, e.seq, e.kind, e.order_id, e.agent, e.side, e.price, e.size, e.match_id]
+        for e in stream.events))
+    write_table(f"{prefix}.mids.csv", MIDS_HEADER,
+                ([i, repr(float(m))] for i, m in enumerate(stream.mid_minute)))
     meta = {
         "open_price": stream.open_price,
         "tick_size": stream.tick_size,
         "lot_size": stream.lot_size,
         "slots_per_day": stream.slots_per_day,
         "seed": stream.seed,
+        "events_sha256": _sha256(events),
     }
     with open(f"{prefix}.meta.yaml", "w") as f:
         yaml.safe_dump(meta, f, sort_keys=True)
 
 
+def _parse_event(row: list[str]) -> Event:
+    return Event(int(row[0]), int(row[1]), row[2], *(int(v) for v in row[3:]))
+
+
 def read_stream(prefix: Path) -> OrderStream:
-    """Read a stream written by `write_stream`. The per-slot mids come from
-    replaying the events, which must reproduce the recorded trades and the
-    per-minute mids on file; a file that does not raises ValueError naming it.
+    """Read a stream written by `write_stream`. The events file must match
+    the SHA-256 on record, and the per-slot mids come from replaying the
+    events, which must reproduce the recorded trades and the per-minute mids
+    on file; a file that does not raises ValueError naming it.
     """
     prefix = Path(prefix)
     with open(f"{prefix}.meta.yaml") as f:
         meta = yaml.safe_load(f)
+    events = f"{prefix}.events.csv"
+    if _sha256(events) != meta.get("events_sha256"):
+        raise ValueError(f"{events}: SHA-256 differs from the one in {prefix}.meta.yaml")
     stream = OrderStream(meta["open_price"], meta["tick_size"], meta["lot_size"],
-                         meta["slots_per_day"], meta["seed"])
-    try:   # a cut row reads as None fields (TypeError)
-        with open(f"{prefix}.events.csv", newline="") as f:
-            for row in csv.DictReader(f):
-                stream.events.append(Event(
-                    int(row["slot"]), int(row["seq"]), row["kind"],
-                    int(row["order_id"]), int(row["agent"]), int(row["side"]),
-                    int(row["price_ticks"]), int(row["size_lots"]), int(row["match_id"])))
+                         meta["slots_per_day"], meta["seed"],
+                         read_table(events, EVENT_HEADER, _parse_event))
+    try:
         stream.mid_slot = replay(stream, check_trades=True)
-    except (AssertionError, TypeError, ValueError) as exc:
-        raise ValueError(f"{prefix}.events.csv: {exc}") from exc
-    with open(f"{prefix}.mids.csv", newline="") as f:
-        mids = [float(row["mid_ticks"]) for row in csv.DictReader(f)]
+    except (AssertionError, ValueError) as exc:
+        raise ValueError(f"{events}: {exc}") from exc
+    mids = read_table(f"{prefix}.mids.csv", MIDS_HEADER, lambda row: float(row[1]))
     if not np.array_equal(mids, stream.mid_minute):
         raise ValueError(f"{prefix}.mids.csv: per-minute mids differ from "
                          "the replayed events")

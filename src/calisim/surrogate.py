@@ -8,7 +8,6 @@ calibrator.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,9 +20,11 @@ from .agents import N_BEHAVIOR, BehaviorVector
 from .autodiff import Tensor
 from .features import FeatureNormalizer
 from .simulator import FundamentalSeries, SimConfig, run_day
+from .tables import numbered, write_table
 
 FUND_EMBED = 4
 TRUNK = (50, 100, 50)
+VAL_FRACTION = 0.2   # share of dataset rows held out for validation
 
 
 def normalize_fundamental(fund: FundamentalSeries) -> np.ndarray:
@@ -102,8 +103,7 @@ class SurrogateDataset:
 
 
 def build_dataset(cfg: SimConfig, fundamentals: list[FundamentalSeries],
-                  per_day: int, seed: int, val_fraction: float = 0.2,
-                  replicates: int = 1) -> SurrogateDataset:
+                  per_day: int, seed: int, replicates: int = 1) -> SurrogateDataset:
     """Simulate `per_day` random behavior draws against each day's
     fundamental and collect feature rows. The normalizer is fitted on the
     training split only.
@@ -129,22 +129,18 @@ def build_dataset(cfg: SimConfig, fundamentals: list[FundamentalSeries],
     q = np.array(rows_q)
     n = len(q)
     val_mask = np.zeros(n, dtype=bool)
-    val_mask[rng.permutation(n)[: max(1, int(round(val_fraction * n)))]] = True
+    val_mask[rng.permutation(n)[: max(1, int(round(VAL_FRACTION * n)))]] = True
     norm = FeatureNormalizer.fit(q[~val_mask])
     return SurrogateDataset(b_norm, fund_norm, norm.transform(q), norm, val_mask)
 
 
 def write_dataset(ds: SurrogateDataset, path: Path):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        fdim = ds.fund_norm.shape[1]
-        w.writerow(["row", "split",
-                    *[f"b{i+1}" for i in range(N_BEHAVIOR)],
-                    *[f"f{i+1}" for i in range(fdim)],
-                    *[f"q{i+1}" for i in range(feat.N_FEATURES)]])
-        for i in range(len(ds.feats_z)):
-            w.writerow([i, "val" if ds.val_mask[i] else "train",
-                        *ds.b_norm[i], *ds.fund_norm[i], *ds.feats_z[i]])
+    write_table(path, ["row", "split", *numbered("b", N_BEHAVIOR),
+                       *numbered("f", ds.fund_norm.shape[1]),
+                       *numbered("q", feat.N_FEATURES)],
+                ([i, "val" if ds.val_mask[i] else "train",
+                  *ds.b_norm[i], *ds.fund_norm[i], *ds.feats_z[i]]
+                 for i in range(len(ds.feats_z))))
 
 
 @dataclass

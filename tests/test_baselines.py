@@ -25,9 +25,9 @@ def flat_fund() -> FundamentalSeries:
     return FundamentalSeries(np.full(CFG.fundamental_len, 100.0))
 
 
-def quadratic_score(b_norm, *args, **kwargs) -> float:
+def quadratic_score(b, *args, **kwargs) -> float:
     """Cheap stand-in objective: distance to an interior optimum."""
-    return float(np.sum((np.asarray(b_norm) - 0.3) ** 2))
+    return float(np.sum((b.normalized() - 0.3) ** 2))
 
 
 # -- budget accounting ------------------------------------------------------------

@@ -268,6 +268,11 @@ def test_cli_simulate_and_extract(pipeline, tmp_path, capsys):
     assert main(["--out", str(out), "simulate", "--day", str(day),
                  "--stream-out", str(prefix)]) == 0
     capsys.readouterr()
+    for suffix, digest in (
+            ("events", "fd57fd1a82dbb42621d7c78dcd7a5d693e391f261bed26b7c8b46336c1974258"),
+            ("mids", "f258cdec7ad64084c8c591cba161e76a616dc788645204287b6353349c3e691f")):
+        path = tmp_path / f"stream.{suffix}.csv"
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, path.name
     assert main(["--out", str(out), "extract-features",
                  "--stream", str(prefix)]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -1,8 +1,12 @@
 """Day simulator: determinism, conservation, wake-process statistics,
 settlement arithmetic, replay oracle, and stream persistence."""
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
 
 import calisim.agents as ag
 from calisim import simulator as sim
@@ -329,5 +333,37 @@ def test_read_stream_rejects_corrupt_file(tmp_path, day_stream, case):
     cells[header.index(column)] = change(cells[header.index(column)])
     lines[i] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n")
+    resign(tmp_path / "day")
     with pytest.raises(ValueError, match=match):
         read_stream(tmp_path / "day")
+
+
+def resign(prefix: Path):
+    """Record the edited events file's SHA-256 in the sidecar, so the read
+    reaches the checks behind the digest."""
+    meta_path = Path(f"{prefix}.meta.yaml")
+    meta = yaml.safe_load(meta_path.read_text())
+    meta["events_sha256"] = hashlib.sha256(
+        Path(f"{prefix}.events.csv").read_bytes()).hexdigest()
+    meta_path.write_text(yaml.safe_dump(meta, sort_keys=True))
+
+
+def test_read_stream_rejects_edited_quiet_order(tmp_path, day_stream):
+    """A bigger PLACE size on an order that never trades still replays
+    cleanly; only the events digest catches it."""
+    write_stream(day_stream, tmp_path / "day")
+    path = tmp_path / "day.events.csv"
+    lines = path.read_text().splitlines()
+    traded = {oid for e in day_stream.events if e.kind == "TRADE"
+              for oid in (e.order_id, e.match_id)}
+    i = next(i for i, e in enumerate(day_stream.events, 1)
+             if e.kind == "PLACE" and e.order_id not in traded)
+    cells = lines[i].split(",")
+    cells[7] = str(int(cells[7]) + 200)   # size_lots
+    lines[i] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"day\.events\.csv: SHA-256 differs"):
+        read_stream(tmp_path / "day")
+    resign(tmp_path / "day")
+    back = read_stream(tmp_path / "day")
+    assert back.events[i - 1].size == day_stream.events[i - 1].size + 200
