@@ -3,7 +3,8 @@ for bit, so a speed-up of the decision path or the slot loop cannot change
 an event, a mid or a feature without failing here. Four days run at the ci
 profile; two more run in a market with other tick, lot, band, open-price
 and population settings, so the lot-sizing and price-grid paths are pinned
-too.
+too. Two last days pin the edges of the wake schedule: a single agent, and
+a full schedule where every agent wakes in every slot.
 
 The digests were computed with the straightforward per-wake decision path
 (every trailing statistic recomputed on every wake). Regenerate them only
@@ -86,4 +87,25 @@ GOLDEN_ALT = [
 def test_golden_day_digest_non_ci_market(raw, offsets, seed, digest):
     fund = FundamentalSeries(ALT.open_price + np.array(offsets))
     stream = run_day(ALT, BehaviorVector(*raw), fund, seed=seed)
+    assert day_digest(stream) == digest
+
+
+# Edges of the wake schedule. One agent: every wake index is its slot. A
+# 600-slot day (the shortest that holds a fundamental sample) at
+# wake_prob=1.0: every agent wakes in every slot, so the schedule is full.
+# (config, behavior, fundamental, seed) -> digest
+GOLDEN_EDGE = [
+    (SimConfig(slots_per_day=3600, n_agents=1, wake_prob=0.1),
+     (1.025, 1.025, 1.025, 300.0, 0.25), (100.0, 101.0, 99.0, 102.0, 98.0, 100.5), 17,
+     "8e1d92e1c31f379f11f1b4ee454d5e72a074247ebaa46dcb7b92a579132e8f70"),
+    (SimConfig(slots_per_day=600, n_agents=20, wake_prob=1.0),
+     (0.8, 1.2, 0.5, 120.0, 0.2), (101.0,), 3,
+     "54396696a273d57d133f9bad34b9c86282dc42cd8d0b3f16e04c2b13e166681f"),
+]
+
+
+@pytest.mark.parametrize("cfg, raw, fund, seed, digest", GOLDEN_EDGE,
+                         ids=["one_agent", "every_agent_every_slot"])
+def test_golden_day_digest_wake_schedule_edges(cfg, raw, fund, seed, digest):
+    stream = run_day(cfg, BehaviorVector(*raw), FundamentalSeries(np.array(fund)), seed=seed)
     assert day_digest(stream) == digest
