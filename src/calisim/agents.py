@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lob import Side
+from .lob import ASK, BID, Side
 
 # Raw bounds: (low, high) per coordinate.
 BEHAVIOR_BOUNDS = {
@@ -118,24 +118,27 @@ def build_population(b: BehaviorVector, n_agents: int, alpha_ref: float,
     """
     if n_agents < 1:
         raise ValueError("n_agents must be >= 1")
-    g_f = np.abs(rng.laplace(0.0, b.delta_f, n_agents))
-    g_c = np.abs(rng.laplace(0.0, b.delta_c, n_agents))
-    g_n = np.abs(rng.laplace(0.0, b.delta_n, n_agents))
-    inst = rng.random(n_agents) < b.p_inst
-    cash_mult = rng.uniform(100.0, 1000.0, n_agents)
-    hold = rng.uniform(100.0, 1000.0, n_agents)
+    # .tolist() once: every field is then a Python float/int/bool, so each
+    # wake's demand arithmetic runs on Python floats, not numpy scalars
+    # (the same IEEE doubles, and both round half to even)
+    g_f = np.abs(rng.laplace(0.0, b.delta_f, n_agents)).tolist()
+    g_c = np.abs(rng.laplace(0.0, b.delta_c, n_agents)).tolist()
+    g_n = np.abs(rng.laplace(0.0, b.delta_n, n_agents)).tolist()
+    inst = (rng.random(n_agents) < b.p_inst).tolist()
+    cash_mult = rng.uniform(100.0, 1000.0, n_agents).tolist()
+    hold = rng.uniform(100.0, 1000.0, n_agents).tolist()
     profiles, accounts = [], []
-    for k in range(n_agents):
+    for gf, gc, gn, institutional, cm, h in zip(g_f, g_c, g_n, inst, cash_mult, hold):
         profiles.append(AgentProfile(
-            g_f=float(g_f[k]), g_c=float(g_c[k]), g_n=float(g_n[k]),
-            tau_i=derived_horizon(b.tau, g_f[k], g_c[k]),
-            alpha_i=derived_risk_aversion(alpha_ref, g_f[k], g_c[k]),
-            institutional=bool(inst[k]),
+            g_f=gf, g_c=gc, g_n=gn,
+            tau_i=derived_horizon(b.tau, gf, gc),
+            alpha_i=derived_risk_aversion(alpha_ref, gf, gc),
+            institutional=institutional,
         ))
-        scale = 2 if inst[k] else 1
+        scale = 2 if institutional else 1
         accounts.append(AgentAccount(
-            cash=int(round(cash_mult[k] * scale)) * open_price_ticks,
-            holdings=int(round(hold[k] * scale)),
+            cash=round(cm * scale) * open_price_ticks,
+            holdings=round(h * scale),
         ))
     return profiles, accounts
 
@@ -253,10 +256,10 @@ def make_order(profile: AgentProfile, account: AgentAccount, *,
         size = account.free_cash // (price_ticks * lot_size)
         if delta < size:
             size = delta
-        return OrderIntent(Side.BID, price_ticks, size) if size >= 1 else None
+        return OrderIntent(BID, price_ticks, size) if size >= 1 else None
     if delta < 0:
         size = account.free_lots
         if -delta < size:
             size = -delta
-        return OrderIntent(Side.ASK, price_ticks, size) if size >= 1 else None
+        return OrderIntent(ASK, price_ticks, size) if size >= 1 else None
     return None

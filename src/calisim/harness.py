@@ -264,14 +264,25 @@ class MethodEval:
     corr: np.ndarray         # (5 indicators, 5 behavior coords) mean |rho|
 
 
-def _collect_calibrations(out_dir: Path, source: str) -> list[dict[int, BehaviorVector]]:
-    """All per-seed calibration maps for one method (one map for calisim)."""
+def _collect_calibrations(out_dir: Path, source: str,
+                          days: list[int]) -> list[dict[int, BehaviorVector]]:
+    """All per-seed calibration maps for one method (one map for calisim).
+    Each file must calibrate every one of `days`; one that does not raises
+    ValueError naming the file and the missing days."""
+    out_dir = Path(out_dir)
+    single = out_dir / f"calibration_{source}.csv"
+    paths = [single] if single.exists() else []
+    paths += sorted(out_dir.glob(f"calibration_{source}_seed*.csv"))
     out = []
-    single = Path(out_dir) / f"calibration_{source}.csv"
-    if single.exists():
-        out.append(mm.read_calibration(single)[source])
-    for p in sorted(Path(out_dir).glob(f"calibration_{source}_seed*.csv")):
-        out.append(mm.read_calibration(p)[source])
+    for p in paths:
+        cal = mm.read_calibration(p).get(source)
+        if cal is None:
+            raise ValueError(f"{p}: no rows of source {source}")
+        missing = [d for d in days if d not in cal]
+        if missing:
+            raise ValueError(f"{p}: no {source} calibration for test "
+                             f"day(s) {', '.join(map(str, missing))}")
+        out.append(cal)
     return out
 
 
@@ -310,25 +321,23 @@ def stage_evaluate(cfg: dict, out_dir: Path, bench: Benchmark | None = None) -> 
     net = _load_surrogate(out_dir)
     eval_seeds = [int(s) for s in cfg["evaluate"]["eval_seeds"]]
 
+    # every calibration file is read and checked before any day is scored
+    test_days = [d.day for d in bench.test_days]
+    cals = {source: _collect_calibrations(out_dir, source, test_days)
+            for source in (*METHODS, ABLATION)}
     # Ground truth as a reference method: its reconstruction error is the
     # simulator's seed-to-seed feature noise floor.
-    gt = {d.day: d.b_star for d in bench.test_days}
+    cals["ground_truth"] = [{d.day: d.b_star for d in bench.test_days}]
     mm.write_calibration(out_dir / "calibration_ground_truth.csv",
                          [(d.day, d.b_star, "ground_truth") for d in bench.test_days])
 
-    evals: dict[str, MethodEval] = {}
-    missing = []
-    for source in (*METHODS, ABLATION, "ground_truth"):
-        cals = ([gt] if source == "ground_truth"
-                else _collect_calibrations(out_dir, source))
-        if not cals:
-            missing.append(source)
-            continue
-        evals[source] = _eval_method(bench, source, cals, net, eval_seeds)
-    if not any(s in evals for s in METHODS):
+    missing = [source for source, c in cals.items() if not c]
+    if not any(cals[s] for s in METHODS):
         raise FileNotFoundError(
             f"no calibration outputs found in {out_dir}; run calibrate first "
             f"(missing: {', '.join(missing)})")
+    evals = {source: _eval_method(bench, source, c, net, eval_seeds)
+             for source, c in cals.items() if c}
 
     report_dir = out_dir / "evaluation"
     report_dir.mkdir(exist_ok=True)

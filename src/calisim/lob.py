@@ -17,6 +17,11 @@ class Side(IntEnum):
         return Side.ASK if self is Side.BID else Side.BID
 
 
+# module-level sides: the matching path compares against these, which is
+# cheaper than an enum member lookup or the `opposite` property
+BID, ASK = Side.BID, Side.ASK
+
+
 class DuplicateOrderError(ValueError):
     """An order id was reused within a trading day."""
 
@@ -68,7 +73,7 @@ class Book:
         heap = self._heaps[side]
         levels = self._levels[side]
         while heap:
-            price = -heap[0] if side is Side.BID else heap[0]
+            price = -heap[0] if side is BID else heap[0]
             q = levels.get(price)
             if q:
                 return price
@@ -76,14 +81,14 @@ class Book:
         return None
 
     def best_bid(self) -> int | None:
-        return self._best(Side.BID)
+        return self._best(BID)
 
     def best_ask(self) -> int | None:
-        return self._best(Side.ASK)
+        return self._best(ASK)
 
     def mid_price(self) -> float:
         """Midpoint in ticks; falls back to last trade, then the open."""
-        bb, ba = self.best_bid(), self.best_ask()
+        bb, ba = self._best(BID), self._best(ASK)
         if bb is not None and ba is not None:
             return (bb + ba) / 2.0
         if self.last_trade_price is not None:
@@ -134,11 +139,11 @@ class Book:
     # -- internals ----------------------------------------------------------------
 
     def _crosses(self, order: LimitOrder, best: int) -> bool:
-        return order.price >= best if order.side is Side.BID else order.price <= best
+        return order.price >= best if order.side is BID else order.price <= best
 
     def _match(self, order: LimitOrder, slot: int) -> list[TradeEvent]:
         trades: list[TradeEvent] = []
-        opp = order.side.opposite
+        opp = ASK if order.side is BID else BID
         levels = self._levels[opp]
         while order.size > 0:
             best = self._best(opp)
@@ -165,7 +170,7 @@ class Book:
         q = levels.get(order.price)
         if q is None:
             levels[order.price] = deque([order])
-            key = -order.price if order.side is Side.BID else order.price
+            key = -order.price if order.side is BID else order.price
             heapq.heappush(self._heaps[order.side], key)
         else:
             q.append(order)

@@ -18,7 +18,7 @@ import yaml
 from . import agents as ag
 from .agents import (SLOTS_PER_MINUTE, AgentAccount, AgentProfile, BehaviorVector,
                      MinuteHistory)
-from .lob import Book, LimitOrder, Side, TradeEvent
+from .lob import ASK, BID, Book, LimitOrder, Side, TradeEvent
 from .tables import read_table, write_table
 
 FUNDAMENTAL_INTERVAL_SLOTS = 600  # ten minutes
@@ -119,7 +119,7 @@ class OrderStream:
 def settle(account: AgentAccount, trade: TradeEvent, side: Side, lot_size: int):
     """Apply one trade leg to an account; invariants are hard-asserted."""
     notional = trade.price * trade.size * lot_size
-    if side is Side.BID:
+    if side is BID:
         account.cash -= notional
         account.holdings += trade.size
     else:
@@ -174,24 +174,25 @@ def run_day(cfg: SimConfig, b: BehaviorVector, fund: FundamentalSeries,
     next_order_id = 0
     seq = 0
 
-    wake = rng.random((cfg.slots_per_day, cfg.n_agents)) < cfg.wake_prob
-    # flattened wake schedule: per-slot ascending agent ids, consumed by a
-    # moving pointer (one nonzero pass instead of one per slot)
-    wake_slots, wake_agents = (arr.tolist() for arr in np.nonzero(wake))
-    n_wakes = len(wake_slots)
+    n_agents = cfg.n_agents
+    wake = rng.random((cfg.slots_per_day, n_agents)) < cfg.wake_prob
+    # flattened wake schedule, row-major (slot, then ascending agent id),
+    # ending in a sentinel past the last slot; a moving pointer walks it and
+    # decodes each entry into (slot, agent) by one divmod
+    wakes = np.flatnonzero(wake).tolist()
+    wakes.append(wake.size)
     ptr = 0
+    wake_slot, a_idx = divmod(wakes[0], n_agents)
 
     n_hist = 0
     mid_cache = book.mid_price()  # valid until the next book operation
     for slot in range(cfg.slots_per_day):
         if slot % FUNDAMENTAL_INTERVAL_SLOTS == 0:
             fund_now = fund.at_slot(slot)
-        if ptr < n_wakes and wake_slots[ptr] == slot:
+        if wake_slot == slot:
             mid = mid_cache * tick_size
-            batch: list[tuple[int, list[int], LimitOrder | None]] = []
-            while ptr < n_wakes and wake_slots[ptr] == slot:
-                a_idx = wake_agents[ptr]
-                ptr += 1
+            batch: list[tuple[_AgentState, list[int], LimitOrder | None]] = []
+            while wake_slot == slot:
                 st = states[a_idx]
                 profile = st.profile
                 cancels = _stale_orders(st, slot) if st.orders else []
@@ -210,13 +211,14 @@ def run_day(cfg: SimConfig, b: BehaviorVector, fund: FundamentalSeries,
                 if intent is not None:
                     order = LimitOrder(next_order_id, a_idx, *intent, slot)
                     next_order_id += 1
-                batch.append((a_idx, cancels, order))
+                batch.append((st, cancels, order))
+                ptr += 1
+                wake_slot, a_idx = divmod(wakes[ptr], n_agents)
             if len(batch) > 1:  # one entry: nothing to do, nothing drawn
                 # the same swaps, from the same draws, as rng.permutation
                 rng.shuffle(batch)
             touched = False
-            for a_idx, cancels, order in batch:
-                st = states[a_idx]
+            for st, cancels, order in batch:
                 for oid in cancels:
                     seq = _apply_cancel(st, book, oid, slot, seq, stream, lot_size)
                     touched = True
@@ -258,7 +260,7 @@ def _apply_cancel(st: _AgentState, book: Book, oid: int, slot: int, seq: int,
         return seq
     cancelled = book.cancel(oid)
     assert cancelled, "agent's resting orders out of step with the book"
-    if order.side is Side.BID:
+    if order.side is BID:
         st.account.reserved_cash -= order.price * order.size * lot_size
     else:
         st.account.reserved_lots -= order.size
@@ -277,21 +279,21 @@ def _apply_place(states: list[_AgentState], book: Book, order: LimitOrder,
     for tr in trades:
         maker = states[tr.maker_agent]
         # maker leg releases its resting reservation at the trade price
-        if order.side is Side.BID:
-            settle(maker.account, tr, Side.ASK, lot_size)
+        if order.side is BID:
+            settle(maker.account, tr, ASK, lot_size)
             maker.account.reserved_lots -= tr.size
-            settle(taker.account, tr, Side.BID, lot_size)
+            settle(taker.account, tr, BID, lot_size)
         else:
-            settle(maker.account, tr, Side.BID, lot_size)
+            settle(maker.account, tr, BID, lot_size)
             maker.account.reserved_cash -= tr.price * tr.size * lot_size
-            settle(taker.account, tr, Side.ASK, lot_size)
+            settle(taker.account, tr, ASK, lot_size)
         if maker.orders[tr.maker].size == 0:   # filled: the book dropped it
             del maker.orders[tr.maker]
         stream.events.append(Event(slot, seq, "TRADE", tr.maker, tr.maker_agent,
                                    int(order.side), tr.price, tr.size, tr.taker))
         seq += 1
     if order.size > 0:  # residue rests
-        if order.side is Side.BID:
+        if order.side is BID:
             taker.account.reserved_cash += order.price * order.size * lot_size
         else:
             taker.account.reserved_lots += order.size

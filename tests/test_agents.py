@@ -105,6 +105,21 @@ def test_accounts_integral_and_positive():
         assert a.reserved_cash == 0 and a.reserved_lots == 0
 
 
+def test_population_holds_python_scalars():
+    """Every profile and account field is a Python float/int/bool even when
+    the behavior vector holds numpy scalars (as `from_normalized` gives):
+    a numpy scalar there would put numpy arithmetic on every wake."""
+    for seed, z in enumerate(([0.5] * 5, [0.1, 0.9, 0.3, 0.7, 1.0], [0.0] * 5)):
+        b = BehaviorVector.from_normalized(z)
+        assert type(b.tau) is np.float64
+        profiles, accounts = build_population(b, 50, 2.5e-5, 10000,
+                                               np.random.default_rng(seed))
+        for obj in (*profiles, *accounts):
+            for name in obj.__dataclass_fields__:
+                assert type(getattr(obj, name)) in (float, int, bool), (
+                    f"{type(obj).__name__}.{name} is {type(getattr(obj, name))}")
+
+
 def test_build_population_rejects_empty():
     b = BehaviorVector(1.0, 1.0, 1.0, 600.0, 0.0)
     with pytest.raises(ValueError):

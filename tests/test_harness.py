@@ -3,6 +3,7 @@ accounting, stage wiring on a tiny end-to-end run, and the evaluation
 report bundle."""
 
 import hashlib
+import shutil
 
 import numpy as np
 import pytest
@@ -144,10 +145,11 @@ def test_sim_call_accounting(pipeline):
 
 def test_calibration_discovery(pipeline):
     out, bench, _ = pipeline
-    cals = harness._collect_calibrations(out, "randsearch")
+    days = [d.day for d in bench.test_days]
+    cals = harness._collect_calibrations(out, "randsearch", days)
     assert len(cals) == 1
-    assert sorted(cals[0]) == [d.day for d in bench.test_days]
-    assert harness._collect_calibrations(out, "calisim_ws0") == []
+    assert sorted(cals[0]) == days
+    assert harness._collect_calibrations(out, "calisim_ws0", days) == []
 
 
 def test_evaluation_report_bundle(pipeline):
@@ -224,6 +226,25 @@ def test_evaluate_without_calibrations(pipeline, tmp_path):
     (tmp_path / "surrogate.ck").write_bytes((out / "surrogate.ck").read_bytes())
     with pytest.raises(FileNotFoundError, match="no calibration outputs"):
         harness.stage_evaluate(TINY_CFG, tmp_path, bench=bench)
+
+
+def test_evaluate_names_calibration_missing_a_day(pipeline, tmp_path, capsys):
+    """A calibration CSV cut short of the last test day, or holding no rows
+    of its method, stops `evaluate` with the file and the day named."""
+    out, bench, _ = pipeline
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    path = run / "calibration_randsearch_seed0.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]))
+    last = bench.test_days[-1].day
+    assert main(["--out", str(run), "evaluate"]) == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and f"test day(s) {last}" in err
+    assert "Traceback" not in err
+    path.write_text(lines[0])   # the header alone
+    with pytest.raises(ValueError, match="no rows of source randsearch"):
+        harness.stage_evaluate(TINY_CFG, run, bench=bench)
 
 
 def test_hypothesize_stage(pipeline):
