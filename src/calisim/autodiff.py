@@ -66,9 +66,6 @@ class Tensor:
         return float(self.data)
 
     # -- graph plumbing --------------------------------------------------------
-    def _needs_graph(self) -> bool:
-        return _GRAD_ENABLED and (self.requires_grad or self._parents != () or self._backward is not None)
-
     def backward(self, seed: np.ndarray | None = None):
         """Accumulate gradients of this (scalar) tensor into every parameter."""
         if seed is None:
@@ -122,10 +119,15 @@ def parameter(data, name: str) -> Tensor:
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
+    """A new tensor that joins the graph when recording is on and some parent
+    is a parameter or was itself recorded."""
     out = Tensor(data)
-    if any(p._needs_graph() for p in parents):
-        out._parents = parents
-        out._backward = backward
+    if _GRAD_ENABLED:
+        for p in parents:
+            if p.requires_grad or p._backward is not None:
+                out._parents = parents
+                out._backward = backward
+                break
     return out
 
 
@@ -244,12 +246,27 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
     return _make(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), back)
 
 
+def _is_basic_index(idx) -> bool:
+    """Ints, slices, Ellipsis and None, alone or in a tuple: numpy's basic
+    indexing, which selects every element at most once."""
+    for part in idx if isinstance(idx, tuple) else (idx,):
+        if not (part is None or part is Ellipsis or isinstance(part, slice)
+                or (isinstance(part, (int, np.integer)) and not isinstance(part, bool))):
+            return False
+    return True
+
+
 def index(a, idx) -> Tensor:
+    """a[idx] for a basic index. An array or boolean index raises TypeError:
+    it may select an element twice, and the backward's in-place add would
+    then drop all but one of that element's gradients."""
     a = as_tensor(a)
+    if not _is_basic_index(idx):
+        raise TypeError(f"index supports ints, slices, Ellipsis and None only, got {idx!r}")
 
     def back(g):
         ga = np.zeros_like(a.data)
-        np.add.at(ga, idx, g)
+        ga[idx] += g
         return (ga,)
 
     return _make(a.data[idx], (a,), back)
@@ -266,6 +283,32 @@ def sum_squares(a) -> Tensor:
 
 
 # -- Adam -------------------------------------------------------------------------
+
+# A training loop gives up, raising FloatingPointError, once this many Adam
+# steps in a row were skipped on non-finite gradients.
+MAX_SKIPPED_IN_ROW = 10
+
+
+class SkippedSteps:
+    """Counts the steps a training loop's Adam skipped (`Adam.step` returned
+    False) and raises FloatingPointError, naming the epoch, once
+    MAX_SKIPPED_IN_ROW were skipped in a row."""
+
+    def __init__(self, what: str):
+        self.what = what
+        self.total = 0
+        self.in_row = 0
+
+    def record(self, stepped: bool, epoch: int):
+        if stepped:
+            self.in_row = 0
+            return
+        self.total += 1
+        self.in_row += 1
+        if self.in_row == MAX_SKIPPED_IN_ROW:
+            raise FloatingPointError(
+                f"{self.in_row} {self.what} steps in a row skipped on "
+                f"non-finite gradients at epoch {epoch}")
 
 
 class Adam:

@@ -151,6 +151,7 @@ def stage_train_surrogate(cfg: dict, out_dir: Path,
                 zip(range(len(curves.train_loss)), curves.train_loss, curves.val_loss))
     update_manifest(out_dir, surrogate=str(out_dir / "surrogate.ck"),
                     surrogate_best_epoch=curves.best_epoch,
+                    surrogate_skipped_steps=curves.skipped_steps,
                     surrogate_val0=float(curves.val_loss[0]),
                     surrogate_val_best=float(min(curves.val_loss)))
     return net, curves
@@ -196,7 +197,8 @@ def stage_train_metamarket(cfg: dict, out_dir: Path, w_s: float | None = None,
                                 f"metamarket{tag}_recon0": float(curves.recon[0]),
                                 f"metamarket{tag}_recon_final": float(curves.recon[-1]),
                                 f"metamarket{tag}_var0": float(curves.variation[0]),
-                                f"metamarket{tag}_var_final": float(curves.variation[-1])})
+                                f"metamarket{tag}_var_final": float(curves.variation[-1]),
+                                f"metamarket{tag}_skipped_steps": curves.skipped_steps})
     return k, curves
 
 

@@ -196,14 +196,14 @@ def _rowwise_norm(d: Tensor) -> Tensor:
     return ad.sqrt(ad.vsum(ad.square(d), axis=1), eps=1e-12)
 
 
-def loss_stat(k: MetaMarket, windows: np.ndarray, triplet: StateTriplet,
+def loss_stat(k: MetaMarket, u: Tensor, triplet: StateTriplet,
               margin: float = TRIPLET_MARGIN) -> Tensor:
-    """Triplet hinge on behavior estimates under fabricated states.
+    """Triplet hinge on behavior estimates under fabricated states, from
+    the implicit feature u = k.implicit(windows).
 
-    The implicit feature is detached so this loss trains only the state
-    analyzer omega.
+    u is detached here, so this loss trains only the state analyzer omega.
     """
-    u = k.implicit(windows).detach()
+    u = u.detach()
     b = k.estimate(u, k.analyze(Tensor(triplet.real)))
     b_a = k.estimate(u, k.analyze(Tensor(triplet.similar)))
     b_b = k.estimate(u, k.analyze(Tensor(triplet.dissimilar)))
@@ -221,6 +221,7 @@ class MetaCurves:
 
     recon: list[float] = field(default_factory=list)
     variation: list[float] = field(default_factory=list)
+    skipped_steps: int = 0   # Adam steps skipped on non-finite gradients
 
 
 def _windows(corpus: list[DayRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -245,7 +246,9 @@ def train(k: MetaMarket, corpus: list[DayRecord], surrogate: SurrogateNet,
 
     The surrogate is frozen (its parameters receive no gradient). Logs the
     mean reconstruction error and mean day-to-day behavior variation per
-    epoch.
+    epoch. Each epoch runs the extractor once: its graph forward gives both
+    the estimates that the losses train on and the log of the parameters
+    that the previous step left.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x3E]))
     wins, states, funds, targets = _windows(corpus)
@@ -257,32 +260,34 @@ def train(k: MetaMarket, corpus: list[DayRecord], surrogate: SurrogateNet,
     opt = ad.Adam(k.params(), lr=lr)
     curves = MetaCurves()
 
-    def log_epoch():
-        with ad.no_grad():
-            b = k.forward(wins, states).data
+    def log_epoch(b: np.ndarray):
         recon = np.mean([np.sum((surrogate.predict(b[i], funds[i]) - targets[i]) ** 2)
                          for i in range(n)])
         var = np.mean(np.sum(np.diff(b, axis=0) ** 2, axis=1))
         curves.recon.append(float(recon))
         curves.variation.append(float(var))
 
-    log_epoch()
+    skipped = ad.SkippedSteps("calibrator")
     try:
         for epoch in range(1, epochs + 1):
             opt.zero_grad()
-            b = k.forward(wins, states)
+            u = k.implicit(wins)
+            b = k.estimate(u, k.analyze(Tensor(states)))
+            log_epoch(b.data)
             loss = loss_repr(b, funds, targets, surrogate)
             if w_t:
                 loss = ad.add(loss, ad.mul(loss_temp(b), w_t / (n - 1)))
             if w_s:
-                loss = ad.add(loss, ad.mul(loss_stat(k, wins, make_triplets(states, rng)), w_s))
+                loss = ad.add(loss, ad.mul(loss_stat(k, u, make_triplets(states, rng)), w_s))
             if not np.isfinite(loss.item()):
                 raise FloatingPointError(
                     f"non-finite calibrator loss at epoch {epoch}: "
                     f"recon so far {curves.recon[-1]:.4g}")
             loss.backward()
-            opt.step()
-            log_epoch()
+            skipped.record(opt.step(), epoch)
+        with ad.no_grad():
+            log_epoch(k.forward(wins, states).data)
+        curves.skipped_steps = skipped.total
     finally:
         for p in frozen:
             p.requires_grad = True

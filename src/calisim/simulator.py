@@ -49,8 +49,9 @@ class SimConfig:
     lambda_band: float = 0.05
 
     def __post_init__(self):
-        if self.slots_per_day < SLOTS_PER_MINUTE:
-            raise ValueError(f"slots_per_day must be >= {SLOTS_PER_MINUTE}")
+        if self.slots_per_day < FUNDAMENTAL_INTERVAL_SLOTS:
+            raise ValueError(f"slots_per_day must be >= {FUNDAMENTAL_INTERVAL_SLOTS}, "
+                             f"one fundamental interval, got {self.slots_per_day}")
         if not (0.0 < self.wake_prob <= 1.0):
             raise ValueError("wake_prob must be in (0, 1]")
         if self.open_price <= 0 or self.tick_size <= 0:

@@ -148,6 +148,7 @@ class TrainCurves:
     train_loss: list[float]
     val_loss: list[float]
     best_epoch: int
+    skipped_steps: int = 0   # Adam steps skipped on non-finite gradients
 
 
 def _batch_loss(net: SurrogateNet, b: np.ndarray, f: np.ndarray,
@@ -175,6 +176,7 @@ def train_surrogate(ds: SurrogateDataset, epochs: int = 200, lr: float = 1e-3,
     curves = TrainCurves([eval_loss(tb, tf, tq)], [eval_loss(vb, vf, vq)], 0)
     best = (curves.val_loss[0], {k: v.copy() for k, v in nn.named_params(net.params()).items()})
     n = len(tq)
+    skipped = ad.SkippedSteps("surrogate")
     for epoch in range(1, epochs + 1):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
@@ -184,7 +186,7 @@ def train_surrogate(ds: SurrogateDataset, epochs: int = 200, lr: float = 1e-3,
             if not np.isfinite(loss.item()):
                 raise FloatingPointError(f"non-finite surrogate loss at epoch {epoch}")
             loss.backward()
-            opt.step()
+            skipped.record(opt.step(), epoch)
         curves.train_loss.append(eval_loss(tb, tf, tq))
         curves.val_loss.append(eval_loss(vb, vf, vq))
         if curves.val_loss[-1] < best[0]:
@@ -192,6 +194,7 @@ def train_surrogate(ds: SurrogateDataset, epochs: int = 200, lr: float = 1e-3,
                     {k: v.copy() for k, v in nn.named_params(net.params()).items()})
             curves.best_epoch = epoch
     nn.load_into(net.params(), best[1])
+    curves.skipped_steps = skipped.total
     return net, curves
 
 

@@ -81,6 +81,47 @@ def test_grad_triplet_loss_non_kink(seed):
     assert grad_check(loss, [anchor, pos, neg], rng=rng) < TOL
 
 
+@pytest.mark.parametrize("shape, idx", [
+    ((7,), slice(1, 6)),
+    ((7,), slice(None, None, -2)),
+    ((7,), 3),
+    ((3, 8), (slice(None), slice(2, 5))),
+    ((3, 8), (Ellipsis, slice(4, 8))),
+    ((2, 3, 8), (Ellipsis, slice(0, 2))),
+    ((3, 8), (1, None, slice(None, None, 3))),
+])
+def test_index_backward_matches_add_at(shape, idx):
+    """The in-place add of index's backward writes what np.add.at writes,
+    bit for bit, including a -0.0 gradient entry (stored as +0.0)."""
+    rng = np.random.default_rng(0)
+    a = ad.parameter(rng.normal(size=shape), "a")
+    out = a[idx]
+    g = rng.normal(size=out.shape)
+    g.reshape(-1)[::2] = -0.0
+    (ga,) = out._backward(g)
+    ref = np.zeros(shape)
+    np.add.at(ref, idx, g)
+    assert ga.tobytes() == ref.tobytes()
+    assert not np.any(np.signbit(ga[ga == 0.0]))
+
+
+@pytest.mark.parametrize("idx", [np.array([0, 0, 2]), [1, 1], np.array([True, False, True]),
+                                 (slice(None), np.array([0, 0])), True])
+def test_index_rejects_non_basic_index(idx):
+    """An array or boolean index may select an element twice; index refuses it."""
+    with pytest.raises(TypeError, match="slices"):
+        ad.parameter(np.zeros((3, 3)), "a")[idx]
+
+
+def test_no_grad_records_nothing():
+    p = ad.parameter([1.0, 2.0], "p")
+    with ad.no_grad():
+        out = ad.mul(ad.add(p, 1.0), p)
+    assert out._backward is None and out._parents == ()
+    assert ad.add(out, 1.0)._backward is None      # no parameter upstream
+    assert ad.add(p, 1.0)._parents[0] is p
+
+
 def test_lstm_zero_weights_gives_zero_hidden():
     rng = np.random.default_rng(0)
     cell = nn.LSTMCell(3, 4, rng, "c")

@@ -143,6 +143,13 @@ def test_sim_call_accounting(pipeline):
         assert counters[key]["per_day"] == trials
 
 
+def test_manifest_counts_skipped_optimizer_steps(pipeline):
+    out, _, _ = pipeline
+    man = read_manifest(out)
+    assert man["surrogate_skipped_steps"] == 0
+    assert man["metamarket_skipped_steps"] == 0
+
+
 def test_calibration_discovery(pipeline):
     out, bench, _ = pipeline
     days = [d.day for d in bench.test_days]

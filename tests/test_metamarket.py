@@ -6,6 +6,7 @@ import pytest
 
 from calisim import autodiff as ad
 from calisim import metamarket as mm
+from calisim import nn
 from calisim import simulator as sim
 from calisim.autodiff import Tensor
 from calisim.features import FeatureNormalizer
@@ -156,9 +157,9 @@ def test_loss_stat_trains_only_omega():
     trip = make_triplets(rng.normal(size=(1, 5)), rng)
     for p in k.params():
         p.zero_grad()
-    loss = loss_stat(k, win, trip)
+    loss = loss_stat(k, k.implicit(win), trip)
     if loss.item() == 0.0:  # inactive hinge: tighten the margin until active
-        loss = loss_stat(k, win, trip, margin=10.0)
+        loss = loss_stat(k, k.implicit(win), trip, margin=10.0)
     loss.backward()
     for p in k.theta1_params():
         assert np.array_equal(p.grad, np.zeros_like(p.grad)), p.name
@@ -223,7 +224,7 @@ def test_composite_loss_gradient_check():
     # and the detach contract itself: loss_stat alone leaves exactly zero
     # gradient on every extractor parameter (checked in
     # test_loss_stat_trains_only_omega) while matching stat_term in value
-    assert loss_stat(k, wins, trip, margin=10.0).item() == pytest.approx(
+    assert loss_stat(k, k.implicit(wins), trip, margin=10.0).item() == pytest.approx(
         stat_term().item())
 
 
@@ -266,6 +267,52 @@ def test_train_deterministic():
     c1 = train(make_k(), make_corpus(), make_surrogate(), epochs=3, seed=5)
     c2 = train(make_k(), make_corpus(), make_surrogate(), epochs=3, seed=5)
     assert c1.recon == c2.recon and c1.variation == c2.variation
+
+
+@pytest.mark.parametrize("epochs", [0, 3])
+def test_train_runs_the_extractor_once_per_epoch(monkeypatch, epochs):
+    """One extractor pass per epoch feeds the losses and that epoch's log
+    entry; one more pass logs the trained parameters."""
+    calls = []
+    run = nn.StackedLSTM.run
+
+    def counted(self, xs):
+        calls.append(len(xs))
+        return run(self, xs)
+
+    monkeypatch.setattr(nn.StackedLSTM, "run", counted)
+    curves = train(make_k(), make_corpus(), make_surrogate(), epochs=epochs, seed=0)
+    assert len(calls) == epochs + 1
+    assert len(curves.recon) == len(curves.variation) == epochs + 1
+
+
+def test_train_log_is_the_forward_of_each_epochs_parameters():
+    """Entry e of the log is a no-grad forward of the parameters after e
+    steps, bit for bit."""
+    corpus, net = make_corpus(), make_surrogate()
+    wins, states, funds, targets = mm._windows(corpus)
+    expected = []
+    for epochs in range(3):
+        k = make_k()
+        train(k, corpus, net, epochs=epochs, seed=0)
+        with ad.no_grad():
+            b = k.forward(wins, states).data
+        expected.append(float(np.mean([np.sum((net.predict(b[i], funds[i]) - targets[i]) ** 2)
+                                       for i in range(len(b))])))
+    assert train(make_k(), corpus, net, epochs=2, seed=0).recon == expected
+
+
+def test_train_counts_skipped_steps_and_gives_up(monkeypatch):
+    """Adam steps skipped on non-finite gradients are counted, and
+    MAX_SKIPPED_IN_ROW of them in a row end the run naming the epoch."""
+    results = iter([False, True] * 3)
+    monkeypatch.setattr(ad.Adam, "step", lambda self: next(results))
+    curves = train(make_k(), make_corpus(), make_surrogate(), epochs=6, seed=0)
+    assert curves.skipped_steps == 3
+    monkeypatch.setattr(ad.Adam, "step", lambda self: False)
+    with pytest.raises(FloatingPointError, match=f"epoch {ad.MAX_SKIPPED_IN_ROW}$"):
+        train(make_k(), make_corpus(), make_surrogate(),
+              epochs=ad.MAX_SKIPPED_IN_ROW + 5, seed=0)
 
 
 def test_surrogate_frozen_during_training():

@@ -47,6 +47,17 @@ def test_config_validation():
         SimConfig(open_price=-1.0)
 
 
+def test_config_requires_one_fundamental_interval():
+    """A day shorter than the fundamental's ten-minute grid has no
+    fundamental value to run on."""
+    with pytest.raises(ValueError, match="600"):
+        SimConfig(slots_per_day=120)
+    cfg = SimConfig(slots_per_day=600, n_agents=20)
+    assert cfg.fundamental_len == 1
+    stream = run_day(cfg, B_MID, FundamentalSeries(np.full(1, 100.0)), seed=5)
+    assert len(stream.mid_slot) == 600
+
+
 def test_fundamental_series_validation_and_sampling():
     with pytest.raises(ValueError):
         FundamentalSeries(np.array([100.0, -5.0]))

@@ -189,6 +189,20 @@ def test_training_deterministic():
     assert c1.val_loss == c2.val_loss and c1.train_loss == c2.train_loss
 
 
+def test_training_counts_skipped_steps_and_gives_up(monkeypatch):
+    """Adam steps skipped on non-finite gradients are counted, and
+    MAX_SKIPPED_IN_ROW of them in a row end the run naming the epoch."""
+    ds = synth_dataset()     # 64 train rows: two batches of 32 per epoch
+    results = iter([False, True] * 4)
+    monkeypatch.setattr(ad.Adam, "step", lambda self: next(results))
+    _, curves = train_surrogate(ds, epochs=4, seed=0)
+    assert curves.skipped_steps == 4
+    monkeypatch.setattr(ad.Adam, "step", lambda self: False)
+    with pytest.raises(FloatingPointError,
+                       match=f"epoch {(ad.MAX_SKIPPED_IN_ROW + 1) // 2}$"):
+        train_surrogate(ds, epochs=ad.MAX_SKIPPED_IN_ROW, seed=0)
+
+
 def test_empty_split_rejected():
     ds = synth_dataset()
     ds.val_mask[:] = False
