@@ -72,24 +72,25 @@ class Tensor:
             if self.data.size != 1:
                 raise ValueError("backward() without seed requires a scalar tensor")
             seed = np.ones_like(self.data)
+        # Tensors hash by identity, so they key the sets and dicts directly
         topo: list[Tensor] = []
-        seen: set[int] = set()
+        seen: set[Tensor] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
                 topo.append(node)
                 continue
-            if id(node) in seen:
+            if node in seen:
                 continue
-            seen.add(id(node))
+            seen.add(node)
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in seen:
+                if p not in seen:
                     stack.append((p, False))
-        grads: dict[int, np.ndarray] = {id(self): np.asarray(seed, dtype=np.float64)}
+        grads: dict[Tensor, np.ndarray] = {self: np.asarray(seed, dtype=np.float64)}
         for node in reversed(topo):
-            g = grads.pop(id(node), None)
+            g = grads.pop(node, None)
             if g is None:
                 continue
             if node.requires_grad:
@@ -99,9 +100,9 @@ class Tensor:
             for parent, pg in zip(node._parents, node._backward(g)):
                 if pg is None:
                     continue
-                acc = grads.get(id(parent))
+                acc = grads.get(parent)
                 if acc is None:
-                    grads[id(parent)] = pg.copy() if pg.base is not None or pg is g else pg
+                    grads[parent] = pg.copy() if pg.base is not None or pg is g else pg
                 else:
                     acc += pg
 
@@ -174,17 +175,6 @@ def mul(a, b) -> Tensor:
     )
 
 
-def matmul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-
-    def back(g):
-        ad = a.data
-        gb = np.outer(ad, g) if ad.ndim == 1 else ad.T @ g
-        return g @ b.data.T, gb
-
-    return _make(a.data @ b.data, (a, b), back)
-
-
 def relu(a) -> Tensor:
     a = as_tensor(a)
     mask = a.data > 0
@@ -197,12 +187,6 @@ def sigmoid(a) -> Tensor:
     with np.errstate(over="ignore"):
         s = 1.0 / (1.0 + np.exp(-a.data))
     return _make(s, (a,), lambda g: (g * s * (1.0 - s),))
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    t = np.tanh(a.data)
-    return _make(t, (a,), lambda g: (g * (1.0 - t * t),))
 
 
 def sqrt(a, eps: float = 0.0) -> Tensor:
@@ -282,6 +266,92 @@ def sum_squares(a) -> Tensor:
     return vsum(square(a))
 
 
+# -- fused layers -------------------------------------------------------------------
+#
+# One node each where the elementwise ops above would record several. Every
+# forward and backward keeps the op order of the unfused chain, so results
+# are bit-identical to it; a parent that is a constant gets no gradient work.
+
+
+def _wants_grad(t: Tensor) -> bool:
+    return t.requires_grad or t._backward is not None
+
+
+def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return np.outer(x, g) if x.ndim == 1 else x.T @ g
+
+
+def affine(x, w, b) -> Tensor:
+    """x @ w + b for x of shape (n_in,) or (batch, n_in)."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+
+    def back(g):
+        return (g @ w.data.T if _wants_grad(x) else None,
+                _weight_grad(x.data, g), _unbroadcast(g, b.data.shape))
+
+    return _make(x.data @ w.data + b.data, (x, w, b), back)
+
+
+def lstm_gates(x: Tensor, h: Tensor, w: Tensor, u: Tensor, b: Tensor) -> Tensor:
+    """LSTM gates of z = x @ w + h @ u + b, gate order (input, forget, cell,
+    output): sigmoid on z's input, forget and output quarters, tanh on its
+    cell quarter."""
+    z = x.data @ w.data + h.data @ u.data + b.data
+    H = z.shape[-1] // 4
+    sig = (slice(0, H), slice(H, 2 * H), slice(3 * H, 4 * H))
+    cell = (Ellipsis, slice(2 * H, 3 * H))
+    act = np.empty_like(z)
+    with np.errstate(over="ignore"):  # as in `sigmoid`
+        for sl in sig:
+            act[..., sl] = 1.0 / (1.0 + np.exp(-z[..., sl]))
+    act[cell] = np.tanh(z[cell])
+
+    def back(g):
+        # zeros plus one add per quarter stores a -0.0 gradient as +0.0
+        dz = np.zeros_like(act)
+        for sl in sig:
+            s = act[..., sl]
+            dz[..., sl] += g[..., sl] * s * (1.0 - s)
+        t = act[cell]
+        dz[cell] += g[cell] * (1.0 - t * t)
+        return (dz @ w.data.T if _wants_grad(x) else None,
+                dz @ u.data.T if _wants_grad(h) else None,
+                _weight_grad(x.data, dz), _weight_grad(h.data, dz),
+                _unbroadcast(dz, b.data.shape))
+
+    return _make(act, (x, h, w, u, b), back)
+
+
+def lstm_cell(c: Tensor, gates: Tensor) -> Tensor:
+    """New LSTM cell state f * c + i * g from `lstm_gates` output."""
+    H = gates.data.shape[-1] // 4
+    i, f, cand = (gates.data[..., k * H:(k + 1) * H] for k in range(3))
+
+    def back(g):
+        dgates = np.zeros_like(gates.data)
+        dgates[..., 0:H] = g * cand
+        dgates[..., H:2 * H] = g * c.data
+        dgates[..., 2 * H:3 * H] = g * i
+        return (g * f if _wants_grad(c) else None, dgates)
+
+    return _make(f * c.data + i * cand, (c, gates), back)
+
+
+def lstm_hidden(gates: Tensor, c: Tensor) -> Tensor:
+    """New LSTM hidden state o * tanh(c) from `lstm_gates` output and the
+    new cell state."""
+    H = gates.data.shape[-1] // 4
+    o = gates.data[..., 3 * H:4 * H]
+    t = np.tanh(c.data)
+
+    def back(g):
+        dgates = np.zeros_like(gates.data)
+        dgates[..., 3 * H:4 * H] = g * t
+        return dgates, g * o * (1.0 - t * t)
+
+    return _make(o * t, (gates, c), back)
+
+
 # -- Adam -------------------------------------------------------------------------
 
 # A training loop gives up, raising FloatingPointError, once this many Adam
@@ -326,27 +396,31 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        # the moments of all parameters, flat and in parameter order
+        offs = np.cumsum([0] + [p.data.size for p in self.params]).tolist()
+        self.slices = [slice(a, b) for a, b in zip(offs, offs[1:])]
+        self.m = np.zeros(offs[-1])
+        self.v = np.zeros(offs[-1])
 
     def zero_grad(self):
         for p in self.params:
             p.zero_grad()
 
     def step(self) -> bool:
-        for p in self.params:
-            if not np.all(np.isfinite(p.grad)):
-                return False
+        g = np.concatenate([p.grad.ravel() for p in self.params])
+        if not np.all(np.isfinite(g)):
+            return False
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        m, v = self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        upd = self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        for p, sl in zip(self.params, self.slices):
+            p.data -= upd[sl].reshape(p.data.shape)
         return True
 
 

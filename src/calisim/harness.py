@@ -7,6 +7,7 @@ with a manifest.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from . import surrogate as sur
 from .agents import BEHAVIOR_NAMES, BehaviorVector
 from .benchmark import Benchmark, gen_benchmark
 from .marketstate import N_STATE, STATE_NAMES
-from .tables import write_table
+from .tables import file_sha256, write_table
 
 METHODS = ("calisim", "randsearch", "bayesopt")
 ABLATION = "calisim_ws0"
@@ -115,25 +116,33 @@ def _load_benchmark(out_dir: Path) -> Benchmark:
     return Benchmark.load(p)
 
 
-def _load_surrogate(out_dir: Path) -> sur.SurrogateNet:
-    ck = Path(out_dir) / "surrogate.ck"
+def _checkpoint(out_dir: Path, key: str, what: str, stage: str) -> Path:
+    """The checkpoint `<key>.ck` of a run, checked against the SHA-256 that
+    its training stage recorded in the manifest as `<key>_sha256`. A
+    checkpoint without a recorded digest is taken as it is."""
+    ck = Path(out_dir) / f"{key}.ck"
     if not ck.exists():
-        raise FileNotFoundError(f"missing surrogate checkpoint {ck}; "
-                                "run train-surrogate first")
-    return sur.SurrogateNet.load(ck)
+        raise FileNotFoundError(f"missing {what} checkpoint {ck}; run {stage} first")
+    want = read_manifest(out_dir).get(f"{key}_sha256")
+    if want is not None and file_sha256(ck) != want:
+        raise ValueError(f"{ck}: SHA-256 differs from the one in {_manifest_path(out_dir)}")
+    return ck
+
+
+def _load_surrogate(out_dir: Path) -> sur.SurrogateNet:
+    return sur.SurrogateNet.load(
+        _checkpoint(out_dir, "surrogate", "surrogate", "train-surrogate"))
 
 
 def _load_metamarket(out_dir: Path, tag: str) -> mm.MetaMarket:
-    ck = Path(out_dir) / f"metamarket{tag}.ck"
-    if not ck.exists():
-        raise FileNotFoundError(f"missing calibrator checkpoint {ck}; "
-                                "run train-metamarket first")
-    return mm.MetaMarket.load(ck)
+    return mm.MetaMarket.load(
+        _checkpoint(out_dir, f"metamarket{tag}", "calibrator", "train-metamarket"))
 
 
 def stage_train_surrogate(cfg: dict, out_dir: Path,
                           bench: Benchmark | None = None,
                           ) -> tuple[sur.SurrogateNet, sur.TrainCurves]:
+    t0 = time.perf_counter()
     out_dir = Path(out_dir)
     bench = bench or _load_benchmark(out_dir)
     fundamentals = [d.fund for d in bench.train_days]
@@ -146,10 +155,12 @@ def stage_train_surrogate(cfg: dict, out_dir: Path,
                                       lr=float(sc["lr"]),
                                       batch_size=int(sc["batch_size"]),
                                       seed=int(cfg["seed"]))
-    net.save(out_dir / "surrogate.ck")
+    ck = out_dir / "surrogate.ck"
+    net.save(ck)
     write_table(out_dir / "surrogate_curves.csv", ["epoch", "train_loss", "val_loss"],
                 zip(range(len(curves.train_loss)), curves.train_loss, curves.val_loss))
-    update_manifest(out_dir, surrogate=str(out_dir / "surrogate.ck"),
+    update_manifest(out_dir, surrogate=str(ck), surrogate_sha256=file_sha256(ck),
+                    surrogate_wall_s=time.perf_counter() - t0,
                     surrogate_best_epoch=curves.best_epoch,
                     surrogate_skipped_steps=curves.skipped_steps,
                     surrogate_val0=float(curves.val_loss[0]),
@@ -176,6 +187,7 @@ def stage_train_metamarket(cfg: dict, out_dir: Path, w_s: float | None = None,
                            tag: str = "", bench: Benchmark | None = None,
                            net: sur.SurrogateNet | None = None,
                            ) -> tuple[mm.MetaMarket, mm.MetaCurves]:
+    t0 = time.perf_counter()
     out_dir = Path(out_dir)
     bench = bench or _load_benchmark(out_dir)
     net = net or _load_surrogate(out_dir)
@@ -190,10 +202,13 @@ def stage_train_metamarket(cfg: dict, out_dir: Path, w_s: float | None = None,
     curves = mm.train(k, corpus, net, w_t=float(mc["w_t"]), w_s=w_s,
                       epochs=int(mc["epochs"]), lr=float(mc["lr"]),
                       seed=int(cfg["seed"]))
-    k.save(out_dir / f"metamarket{tag}.ck")
+    ck = out_dir / f"metamarket{tag}.ck"
+    k.save(ck)
     write_table(out_dir / f"metamarket{tag}_curves.csv", ["epoch", "recon", "variation"],
                 zip(range(len(curves.recon)), curves.recon, curves.variation))
-    update_manifest(out_dir, **{f"metamarket{tag}": str(out_dir / f"metamarket{tag}.ck"),
+    update_manifest(out_dir, **{f"metamarket{tag}": str(ck),
+                                f"metamarket{tag}_sha256": file_sha256(ck),
+                                f"metamarket{tag}_wall_s": time.perf_counter() - t0,
                                 f"metamarket{tag}_recon0": float(curves.recon[0]),
                                 f"metamarket{tag}_recon_final": float(curves.recon[-1]),
                                 f"metamarket{tag}_var0": float(curves.variation[0]),

@@ -25,7 +25,7 @@ class Affine:
         self.b = ad.parameter(np.zeros(n_out), f"{name}.b")
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.add(ad.matmul(x, self.W), self.b)
+        return ad.affine(x, self.W, self.b)
 
     def params(self) -> list[Tensor]:
         return [self.W, self.b]
@@ -38,7 +38,6 @@ class LSTMCell:
     """
 
     def __init__(self, n_in: int, n_hidden: int, rng: np.random.Generator, name: str):
-        self.n_hidden = n_hidden
         self.W = ad.parameter(glorot(rng, n_in, 4 * n_hidden, (n_in, 4 * n_hidden)), f"{name}.W")
         self.U = ad.parameter(glorot(rng, n_hidden, 4 * n_hidden, (n_hidden, 4 * n_hidden)), f"{name}.U")
         bias = np.zeros(4 * n_hidden)
@@ -46,15 +45,11 @@ class LSTMCell:
         self.b = ad.parameter(bias, f"{name}.b")
 
     def step(self, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-        H = self.n_hidden
-        gates = ad.add(ad.add(ad.matmul(x, self.W), ad.matmul(h, self.U)), self.b)
-        i = ad.sigmoid(gates[..., 0:H])
-        f = ad.sigmoid(gates[..., H:2 * H])
-        g = ad.tanh(gates[..., 2 * H:3 * H])
-        o = ad.sigmoid(gates[..., 3 * H:4 * H])
-        c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
-        h_new = ad.mul(o, ad.tanh(c_new))
-        return h_new, c_new
+        """(h_new, c_new) for inputs of shape (n,) or (batch, n), recorded
+        as three tape nodes."""
+        gates = ad.lstm_gates(x, h, self.W, self.U, self.b)
+        c_new = ad.lstm_cell(c, gates)
+        return ad.lstm_hidden(gates, c_new), c_new
 
     def params(self) -> list[Tensor]:
         return [self.W, self.U, self.b]

@@ -8,7 +8,6 @@ seed.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,7 +18,7 @@ from . import agents as ag
 from .agents import (SLOTS_PER_MINUTE, AgentAccount, AgentProfile, BehaviorVector,
                      MinuteHistory)
 from .lob import ASK, BID, Book, LimitOrder, Side, TradeEvent
-from .tables import read_table, write_table
+from .tables import file_sha256, read_table, write_table
 
 FUNDAMENTAL_INTERVAL_SLOTS = 600  # ten minutes
 
@@ -347,11 +346,6 @@ EVENT_HEADER = ["slot", "seq", "kind", "order_id", "agent", "side",
 MIDS_HEADER = ["minute", "mid_ticks"]
 
 
-def _sha256(path: str) -> str:
-    with open(path, "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()
-
-
 def write_stream(stream: OrderStream, prefix: Path):
     """Write events CSV, per-minute mid CSV, and a metadata sidecar that
     records the events file's SHA-256."""
@@ -369,7 +363,7 @@ def write_stream(stream: OrderStream, prefix: Path):
         "lot_size": stream.lot_size,
         "slots_per_day": stream.slots_per_day,
         "seed": stream.seed,
-        "events_sha256": _sha256(events),
+        "events_sha256": file_sha256(events),
     }
     with open(f"{prefix}.meta.yaml", "w") as f:
         yaml.safe_dump(meta, f, sort_keys=True)
@@ -389,7 +383,7 @@ def read_stream(prefix: Path) -> OrderStream:
     with open(f"{prefix}.meta.yaml") as f:
         meta = yaml.safe_load(f)
     events = f"{prefix}.events.csv"
-    if _sha256(events) != meta.get("events_sha256"):
+    if file_sha256(events) != meta.get("events_sha256"):
         raise ValueError(f"{events}: SHA-256 differs from the one in {prefix}.meta.yaml")
     stream = OrderStream(meta["open_price"], meta["tick_size"], meta["lot_size"],
                          meta["slots_per_day"], meta["seed"],

@@ -1,10 +1,12 @@
 """CSV artifact tables: the one writer and the one checked reader for every
 table the pipeline keeps on disk (benchmark days, macro levels, order
-streams, calibrations, datasets, curves and reports)."""
+streams, calibrations, datasets, curves and reports), and the file digest
+that stream metadata and the run manifest record."""
 
 from __future__ import annotations
 
 import csv
+import hashlib
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -44,3 +46,9 @@ def read_table(path: Path, header: list[str],
             except ValueError as exc:
                 raise ValueError(f"{path}: line {reader.line_num}: {exc}") from exc
     return out
+
+
+def file_sha256(path: Path) -> str:
+    """Hex SHA-256 of a file's bytes."""
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()

@@ -20,7 +20,7 @@ def test_relu_sigmoid_values():
 
 def test_affine_identity():
     x = Tensor([1.0, -2.0, 3.0])
-    out = ad.add(ad.matmul(x, Tensor(np.eye(3))), Tensor(np.zeros(3)))
+    out = ad.affine(x, Tensor(np.eye(3)), Tensor(np.zeros(3)))
     assert np.array_equal(out.data, x.data)
 
 
@@ -51,12 +51,14 @@ def test_grad_lstm_two_layers_over_sequence(seed):
 
 @pytest.mark.parametrize("seed", range(10))
 def test_grad_sigmoid_tanh_concat_index(seed):
+    """tanh has no op of its own any more; the fused LSTM tests below
+    check it inside `lstm_gates` and `lstm_hidden`."""
     rng = np.random.default_rng(seed)
     a = ad.parameter(rng.normal(size=5), "a")
     b = ad.parameter(rng.normal(size=3), "b")
 
     def loss():
-        joined = ad.concat([ad.sigmoid(a), ad.tanh(b)])
+        joined = ad.concat([ad.sigmoid(a), b])
         return ad.add(ad.sum_squares(joined[1:6]), ad.mean(joined))
 
     assert grad_check(loss, [a, b], rng=rng) < TOL
@@ -146,6 +148,170 @@ def test_lstm_saturated_forget_gate():
     assert np.max(np.abs(c1.data - (c0.data + i * g))) < 1e-6
 
 
+# -- fused layers ---------------------------------------------------------------
+
+SHAPES = [(), (6,)]  # batch dims: 1-D inputs and a batch of 6 rows
+
+
+@pytest.mark.parametrize("batch", SHAPES)
+@pytest.mark.parametrize("seed", range(5))
+def test_grad_affine(seed, batch):
+    rng = np.random.default_rng(seed)
+    x = ad.parameter(rng.normal(size=batch + (4,)), "x")
+    w = ad.parameter(rng.normal(size=(4, 3)), "w")
+    b = ad.parameter(rng.normal(size=3), "b")
+
+    def loss():
+        return ad.sum_squares(ad.affine(x, w, b))
+
+    assert grad_check(loss, [x, w, b], rng=rng) < TOL
+
+
+@pytest.mark.parametrize("batch", SHAPES)
+@pytest.mark.parametrize("seed", range(5))
+def test_grad_lstm_step(seed, batch):
+    """Both outputs of one step against every input and parameter."""
+    rng = np.random.default_rng(seed)
+    cell = nn.LSTMCell(3, 4, rng, "c")
+    x = ad.parameter(rng.normal(size=batch + (3,)), "x")
+    h = ad.parameter(rng.normal(size=batch + (4,)), "h")
+    c = ad.parameter(rng.normal(size=batch + (4,)), "c")
+    wc = Tensor(rng.normal(size=batch + (4,)))
+
+    def loss():
+        h1, c1 = cell.step(x, h, c)
+        return ad.add(ad.sum_squares(h1), ad.vsum(ad.mul(c1, wc)))
+
+    assert grad_check(loss, [x, h, c, *cell.params()], rng=rng) < TOL
+
+
+def _sig(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def _unfused_lstm_step(x, h, c, W, U, b, gh, gc):
+    """One LSTM step and its backward in numpy, op for op as the tape of
+    matmul, add, index, sigmoid, tanh and mul nodes computed them. Returns
+    the forward, the activated gates, the gradients of the activated gates
+    given the upstream gradients gh of h_new and gc of c_new from outside
+    the step, and the gradient of c_prev."""
+    H = h.shape[-1]
+    z = x @ W + h @ U + b
+    q = [z[..., k * H:(k + 1) * H] for k in range(4)]
+    act = {"i": _sig(q[0]), "f": _sig(q[1]), "g": np.tanh(q[2]), "o": _sig(q[3])}
+    c_new = act["f"] * c + act["i"] * act["g"]
+    t = np.tanh(c_new)
+    h_new = act["o"] * t
+    gc_total = gc + gh * act["o"] * (1.0 - t * t)
+    d = {"i": gc_total * act["g"], "f": gc_total * c, "g": gc_total * act["i"],
+         "o": gh * t}
+    return h_new, c_new, act, d, gc_total * act["f"]
+
+
+def _unfused_gates_backward(act, d, x, h, W, U):
+    """The gradients of x, h, W, U and b from those of the activated gates:
+    the pre-activation gradient of each gate lands in its own zeroed index
+    array, and the four are summed."""
+    pre = [d["i"] * act["i"] * (1.0 - act["i"]), d["f"] * act["f"] * (1.0 - act["f"]),
+           d["g"] * (1.0 - act["g"] * act["g"]), d["o"] * act["o"] * (1.0 - act["o"])]
+    H = h.shape[-1]
+    parts = []
+    for k in range(4):
+        part = np.zeros(h.shape[:-1] + (4 * H,))
+        part[..., k * H:(k + 1) * H] += pre[k]
+        parts.append(part)
+    dz = parts[0] + parts[1] + parts[2] + parts[3]
+
+    def outer(a):
+        return np.outer(a, dz) if a.ndim == 1 else a.T @ dz
+
+    return {"x": dz @ W.T, "h": dz @ U.T, "W": outer(x), "U": outer(h),
+            "b": dz if dz.ndim == 1 else dz.sum(axis=0)}
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@pytest.mark.parametrize("batch", SHAPES)
+@pytest.mark.parametrize("seed", range(10))
+def test_fused_lstm_step_is_bit_identical_to_unfused(seed, batch):
+    """Forward, the gradient each fused node hands back, and the gradients
+    the tape accumulates equal the unfused reference bit for bit, signed
+    zeros included: upstream gradients hold -0.0 entries, and a -0.0
+    pre-activation gradient is stored as +0.0, as the index path stored it."""
+    rng = np.random.default_rng(seed)
+    H = 5
+    cell = nn.LSTMCell(3, H, rng, "c")
+    W, U, b = cell.W, cell.U, cell.b
+    b.data[...] = rng.normal(size=4 * H)
+    x = ad.parameter(rng.normal(size=batch + (3,)), "x")
+    h = ad.parameter(rng.normal(size=batch + (H,)), "h")
+    c = ad.parameter(rng.normal(size=batch + (H,)), "c")
+    gh = rng.normal(size=batch + (H,))
+    gc = rng.normal(size=batch + (H,))
+    gh[..., 0:2] = -0.0
+    gc[..., 1] = -0.0  # entry 1: -0.0 gradients of o and of c_new
+
+    h_ref, c_ref, act, d_ref, dc_ref = _unfused_lstm_step(
+        x.data, h.data, c.data, W.data, U.data, b.data, gh, gc)
+    gates = ad.lstm_gates(x, h, W, U, b)
+    c_new = ad.lstm_cell(c, gates)
+    h_new = ad.lstm_hidden(gates, c_new)
+    assert _same_bits(h_new.data, h_ref) and _same_bits(c_new.data, c_ref)
+    for k, gate in enumerate("ifgo"):
+        assert _same_bits(gates.data[..., k * H:(k + 1) * H], act[gate]), gate
+
+    # each node's backward, on the gradient the tape hands it
+    dgates_o, dc_tanh = h_new._backward(gh)
+    dc, dgates_ifg = c_new._backward(gc + dc_tanh)
+    assert _same_bits(dc, dc_ref)
+    for k, gate in enumerate("ifgo"):
+        got = (dgates_o if gate == "o" else dgates_ifg)[..., k * H:(k + 1) * H]
+        assert _same_bits(got, d_ref[gate]), gate
+    # on gate gradients with -0.0 entries, which the sum above turned to +0.0
+    d_neg = {gate: d_ref[gate].copy() for gate in "ifgo"}
+    for gate in "ifgo":
+        d_neg[gate][..., 0] = -0.0
+    g_ref = _unfused_gates_backward(act, d_neg, x.data, h.data, W.data, U.data)
+    back = gates._backward(np.concatenate([d_neg[gate] for gate in "ifgo"], axis=-1))
+    for name, got in zip(("x", "h", "W", "U", "b"), back):
+        assert _same_bits(got, g_ref[name]), name
+
+    # and through the tape, where each gradient lands on a zeroed .grad
+    g_ref = _unfused_gates_backward(act, d_ref, x.data, h.data, W.data, U.data)
+    g_ref["c"] = dc_ref
+    loss = ad.add(ad.vsum(ad.mul(h_new, Tensor(gh))), ad.vsum(ad.mul(c_new, Tensor(gc))))
+    loss.backward()
+    for name, p in zip("xhcWUb", (x, h, c, W, U, b)):
+        assert _same_bits(p.grad, np.zeros_like(p.data) + g_ref[name]), name
+
+
+def test_constant_inputs_get_no_gradient_work():
+    """A parent that is neither a parameter nor recorded (the window
+    inputs, the zero initial states) gets None from the fused nodes'
+    backward, so the tape stores no gradient for it."""
+    rng = np.random.default_rng(0)
+    layer = nn.Affine(3, 2, rng, "a")
+    x = Tensor(rng.normal(size=(4, 3)))
+    out = layer(x)
+    assert out._backward(np.ones((4, 2)))[0] is None
+    assert nn.Affine(2, 2, rng, "b")(out)._backward(np.ones((4, 2)))[0] is not None
+
+    cell = nn.LSTMCell(3, 2, rng, "c")
+    h0, c0 = Tensor(np.zeros((4, 2))), Tensor(np.zeros((4, 2)))
+    gates = ad.lstm_gates(x, h0, cell.W, cell.U, cell.b)
+    c1 = ad.lstm_cell(c0, gates)
+    assert gates._backward(np.ones((4, 8)))[:2] == (None, None)
+    assert c1._backward(np.ones((4, 2)))[0] is None
+    h1, c1 = cell.step(x, h0, c0)
+    h2, c2 = nn.LSTMCell(2, 2, rng, "d").step(h1, h1, c1)
+    assert all(g is not None for g in h2._parents[0]._backward(np.ones((4, 8))))
+    assert c2._backward(np.ones((4, 2)))[0] is not None
+
+
 def test_forward_identical_with_and_without_tape():
     rng = np.random.default_rng(3)
     net = nn.Affine(4, 4, rng, "a")
@@ -215,12 +381,45 @@ def test_adam_reduces_convex_quadratic():
 
 
 def test_adam_nonfinite_gradient_aborts():
-    p = ad.parameter([1.0], "p")
-    before = p.data.copy()
-    opt = Adam([p])
-    p.grad[...] = np.nan
+    """A NaN in any one parameter's gradient leaves every parameter and
+    both moments untouched."""
+    params = [ad.parameter(np.ones(3), "a"), ad.parameter(np.ones((2, 2)), "b")]
+    opt = Adam(params)
+    params[0].grad[...] = 1.0
+    assert opt.step() is True
+    before = [p.data.copy() for p in params]
+    m, v = opt.m.copy(), opt.v.copy()
+    params[1].grad[1, 0] = np.nan
     assert opt.step() is False
-    assert np.array_equal(p.data, before)
+    assert all(np.array_equal(p.data, b) for p, b in zip(params, before))
+    assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v) and opt.t == 1
+
+
+def test_flat_adam_matches_per_parameter_reference():
+    """Five steps over three parameters of different shapes equal the
+    per-parameter update, bit for bit."""
+    rng = np.random.default_rng(4)
+    shapes = [(3, 4), (4,), ()]
+    params = [ad.parameter(rng.normal(size=s), f"p{k}") for k, s in enumerate(shapes)]
+    ref = [p.data.copy() for p in params]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+    opt = Adam(params, lr=lr)
+    for t in range(1, 6):
+        grads = [rng.normal(size=s) for s in shapes]
+        for p, g in zip(params, grads):
+            p.grad[...] = g
+        assert opt.step() is True
+        c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        for k, g in enumerate(grads):
+            m[k] *= b1
+            m[k] += (1.0 - b1) * g
+            v[k] *= b2
+            v[k] += (1.0 - b2) * g * g
+            ref[k] -= lr * (m[k] / c1) / (np.sqrt(v[k] / c2) + eps)
+        for p, r in zip(params, ref):
+            assert p.data.tobytes() == r.tobytes()
 
 
 def test_grad_check_catches_corrupted_gradient():

@@ -150,6 +150,36 @@ def test_manifest_counts_skipped_optimizer_steps(pipeline):
     assert man["metamarket_skipped_steps"] == 0
 
 
+def test_manifest_records_training_wall_time_and_checkpoint_digests(pipeline):
+    out, _, _ = pipeline
+    man = read_manifest(out)
+    for key in ("surrogate", "metamarket"):
+        assert man[f"{key}_wall_s"] > 0
+        assert man[f"{key}_sha256"] == hashlib.sha256(
+            (out / f"{key}.ck").read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("method, ck", [("randsearch", "surrogate.ck"),
+                                        ("calisim", "metamarket.ck")])
+def test_calibrate_rejects_corrupt_checkpoint(pipeline, tmp_path, method, ck):
+    """One flipped byte inside a tensor still loads as a checkpoint; the
+    digest in the manifest catches it, and the error names the file."""
+    out, bench, _ = pipeline
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    data = bytearray((run / ck).read_bytes())
+    data[-3] ^= 0x01
+    (run / ck).write_bytes(bytes(data))
+    with pytest.raises(ValueError, match=f"{ck}: SHA-256 differs"):
+        harness.stage_calibrate(TINY_CFG, run, method, bench=bench)
+
+
+def test_checkpoint_without_recorded_digest_loads(pipeline, tmp_path):
+    out, _, _ = pipeline
+    (tmp_path / "surrogate.ck").write_bytes((out / "surrogate.ck").read_bytes())
+    assert harness._load_surrogate(tmp_path) is not None
+
+
 def test_calibration_discovery(pipeline):
     out, bench, _ = pipeline
     days = [d.day for d in bench.test_days]
