@@ -9,8 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 from scipy.linalg import solve_triangular
+from scipy.special import ndtr
 
 from . import features as feat
 from .agents import N_BEHAVIOR, BehaviorVector
@@ -20,6 +20,7 @@ from .simulator import FundamentalSeries, SimConfig, run_day
 WARM_STARTS = 3
 EI_CANDIDATES = 1024
 NOISE_VAR = 1e-6
+_SQRT_2PI = np.sqrt(2 * np.pi)
 
 
 def _score(b: BehaviorVector, cfg: SimConfig, fund: FundamentalSeries,
@@ -118,12 +119,15 @@ def _chol_solve(k: np.ndarray, y: np.ndarray):
 
 
 def expected_improvement(mu: np.ndarray, var: np.ndarray, best: float) -> np.ndarray:
-    """EI for minimization; exactly zero where the variance is zero."""
+    """EI for minimization; exactly zero where the variance is zero. The
+    normal CDF and density are the ones SciPy's normal distribution evaluates
+    at finite z, so the result matches its cdf/pdf formula bit for bit."""
     sd = np.sqrt(var)
     ei = np.zeros_like(mu)
     pos = sd > 0
     z = (best - mu[pos]) / sd[pos]
-    ei[pos] = (best - mu[pos]) * stats.norm.cdf(z) + sd[pos] * stats.norm.pdf(z)
+    pdf = np.exp(-z ** 2 / 2.0) / _SQRT_2PI
+    ei[pos] = (best - mu[pos]) * ndtr(z) + sd[pos] * pdf
     return np.maximum(ei, 0.0)
 
 

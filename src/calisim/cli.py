@@ -96,10 +96,18 @@ def _dispatch(args, cfg: dict) -> int:
         d = by_day[args.day]
         b = d.b_star
         if args.b_norm is not None:
-            vals = [float(v) for v in args.b_norm.split(",")]
+            try:
+                vals = np.array([float(v) for v in args.b_norm.split(",")])
+            except ValueError:
+                raise ConfigError(f"config field b-norm: {args.b_norm!r} is not "
+                                  "a comma-separated list of numbers") from None
             if len(vals) != N_BEHAVIOR:
                 raise ConfigError(f"config field b-norm: expected {N_BEHAVIOR} coordinates")
-            b = BehaviorVector.from_normalized(np.array(vals))
+            # from_normalized clips; a coordinate outside [0, 1] (or NaN) is an error here
+            if not np.all((vals >= 0.0) & (vals <= 1.0)):
+                raise ConfigError(f"config field b-norm: every coordinate must be a "
+                                  f"finite number in [0, 1], got {args.b_norm}")
+            b = BehaviorVector.from_normalized(vals)
         seed = d.seed if args.seed is None else args.seed
         stream = sim.run_day(bench.cfg, b, d.fund, seed=seed)
         sim.write_stream(stream, args.stream_out)

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .simulator import OrderStream
 
@@ -38,6 +37,21 @@ def returns(mid_minutely: np.ndarray) -> np.ndarray:
     return np.diff(np.log(p))
 
 
+def kurtosis(x: np.ndarray) -> float:
+    """Excess (Fisher) kurtosis with the biased moment estimators, NaN when
+    the second central moment vanishes relative to the mean. The same array
+    operations, in the same order, as SciPy 1.17's kurtosis with fisher=True
+    and bias=True, so the two agree bit for bit."""
+    x = np.asarray(x, dtype=float)
+    mean = np.mean(x, axis=0, keepdims=True)
+    d = x - mean
+    m2 = np.mean(d ** 2, axis=0)
+    m4 = np.mean((d ** 2) ** 2, axis=0)
+    if m2 <= (np.finfo(float).eps * mean[0]) ** 2:
+        return float("nan")
+    return float(m4 / m2 ** 2.0 - 3)
+
+
 def lag_corr(x: np.ndarray, lag: int) -> float:
     """Pearson correlation of x_t with x_{t+lag}; 0 on degenerate input."""
     if lag >= len(x):
@@ -58,7 +72,7 @@ def extract(stream: OrderStream) -> np.ndarray:
     n_pos = int(np.sum(r > 0))
     n_neg = int(np.sum(r < 0))
     gain_loss = n_pos / max(n_neg, 1)
-    kurt = float(stats.kurtosis(r, fisher=True, bias=True)) if np.std(r) > 0 else 0.0
+    kurt = kurtosis(r) if np.std(r) > 0 else 0.0
     zero_ratio = float(np.mean(r == 0))
     r2 = r * r
     vc = [lag_corr(r2, n) for n in range(1, 11)]

@@ -101,11 +101,12 @@ def update_manifest(out_dir: Path, **entries):
 
 
 def stage_gen_benchmark(cfg: dict, out_dir: Path, state_free: bool = False) -> Benchmark:
+    t0 = time.perf_counter()
     out_dir = Path(out_dir)
     bench = gen_benchmark(cfg["profile"], int(cfg["seed"]), state_free=state_free)
     bench.save(out_dir / "benchmark")
     update_manifest(out_dir, config=cfg, benchmark=str(out_dir / "benchmark"),
-                    state_free=state_free)
+                    state_free=state_free, benchmark_wall_s=time.perf_counter() - t0)
     return bench
 
 
@@ -244,6 +245,7 @@ def calibrate_baseline(bench: Benchmark, method: str, net: sur.SurrogateNet,
 def stage_calibrate(cfg: dict, out_dir: Path, method: str, seed: int = 0,
                     metamarket_tag: str = "", bench: Benchmark | None = None,
                     ) -> Path:
+    t0 = time.perf_counter()
     out_dir = Path(out_dir)
     bench = bench or _load_benchmark(out_dir)
     sim.reset_sim_calls()
@@ -262,10 +264,11 @@ def stage_calibrate(cfg: dict, out_dir: Path, method: str, seed: int = 0,
     mm.write_calibration(path, [(day, b, source) for day, b in rows])
     man = read_manifest(out_dir)
     counters = man.get("sim_calls", {})
-    counters[path.stem.removeprefix("calibration_")] = {
-        "total": calls, "days": len(rows),
-        "per_day": calls / max(len(rows), 1)}
-    update_manifest(out_dir, sim_calls=counters)
+    key = path.stem.removeprefix("calibration_")
+    counters[key] = {"total": calls, "days": len(rows),
+                     "per_day": calls / max(len(rows), 1)}
+    update_manifest(out_dir, sim_calls=counters,
+                    **{f"calibrate_{key}_wall_s": time.perf_counter() - t0})
     return path
 
 
@@ -333,6 +336,7 @@ def _eval_method(bench: Benchmark, source: str,
 
 
 def stage_evaluate(cfg: dict, out_dir: Path, bench: Benchmark | None = None) -> dict:
+    t0 = time.perf_counter()
     out_dir = Path(out_dir)
     bench = bench or _load_benchmark(out_dir)
     net = _load_surrogate(out_dir)
@@ -380,7 +384,8 @@ def stage_evaluate(cfg: dict, out_dir: Path, bench: Benchmark | None = None) -> 
     }
     with open(report_dir / "summary.yaml", "w") as f:
         yaml.safe_dump(summary, f, sort_keys=False)
-    update_manifest(out_dir, evaluation=str(report_dir))
+    update_manifest(out_dir, evaluation=str(report_dir),
+                    evaluation_wall_s=time.perf_counter() - t0)
     return summary
 
 

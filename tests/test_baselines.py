@@ -4,6 +4,7 @@ synthetic objective."""
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from calisim import baselines as bl
 from calisim import simulator as sim
@@ -95,6 +96,31 @@ def test_expected_improvement_zero_at_zero_variance():
     mu = np.array([0.5, 2.0])
     var = np.zeros(2)
     assert np.array_equal(expected_improvement(mu, var, best=1.0), np.zeros(2))
+
+
+def _scipy_expected_improvement(mu, var, best):
+    """The oracle: EI written with scipy.stats.norm."""
+    sd = np.sqrt(var)
+    ei = np.zeros_like(mu)
+    pos = sd > 0
+    z = (best - mu[pos]) / sd[pos]
+    ei[pos] = (best - mu[pos]) * stats.norm.cdf(z) + sd[pos] * stats.norm.pdf(z)
+    return np.maximum(ei, 0.0)
+
+
+def test_expected_improvement_bit_identical_to_scipy_norm():
+    rng = np.random.default_rng(5150)
+    best = 0.25
+    sd = rng.exponential(1.0, 4000) * 10.0 ** rng.integers(-6, 3, 4000)
+    z = np.concatenate([rng.normal(0.0, 3.0, 2000), rng.uniform(-1e3, 1e3, 1990),
+                        [-1e3, 1e3, -40.0, 40.0, 0.0, -8.5, 8.5, -38.5, 38.5, 1e-300]])
+    mu = best - z * sd
+    var = sd * sd
+    var[::7] = 0.0
+    ours = expected_improvement(mu, var, best)
+    assert ours.tobytes() == _scipy_expected_improvement(mu, var, best).tobytes()
+    assert np.all(ours[::7] == 0.0)
+    assert np.max(np.abs((best - mu[var > 0]) / np.sqrt(var[var > 0]))) > 900
 
 
 def test_expected_improvement_prefers_low_mean_at_equal_variance():

@@ -1,6 +1,8 @@
 """Feature extraction: an independent brute-force recount oracle on random
 micro-streams, hand-worked examples, and the error/normalization metrics."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -210,3 +212,53 @@ def test_normalizer_zscore_and_floor(rows, dead):
 def test_lag_corr_degenerate_inputs():
     assert feat.lag_corr(np.array([1.0, 1.0, 1.0]), 1) == 0.0
     assert feat.lag_corr(np.array([1.0, 2.0]), 5) == 0.0
+
+
+# -- kurtosis ---------------------------------------------------------------------
+
+
+def _scipy_kurtosis(x: np.ndarray) -> float:
+    """The oracle. It warns about precision loss on near-constant input,
+    which is not what is under test here."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return float(stats.kurtosis(x, fisher=True, bias=True))
+
+
+def _kurtosis_cases(rng):
+    for case in range(1200):
+        n = int(rng.integers(2, 201)) if case % 4 else 2
+        kind = case % 5
+        if kind == 0:       # heavy-tailed, like minutely log returns
+            x = 1e-3 * rng.standard_t(2.5, n)
+        elif kind == 1:     # mostly zero returns
+            x = np.where(rng.random(n) < 0.8, 0.0, 1e-3 * rng.normal(size=n))
+        elif kind == 2:     # near-constant around a nonzero level
+            x = 1.0 + np.finfo(float).eps * rng.integers(-2, 3, n)
+        elif kind == 3:     # integer ticks at scale
+            x = rng.integers(-5, 6, n).astype(float) * 0.01
+        else:
+            x = rng.normal(rng.normal(), rng.exponential(), n)
+        yield x
+    yield np.zeros(10)
+    yield np.full(7, 0.1)
+
+
+def test_kurtosis_bit_identical_to_scipy():
+    rng = np.random.default_rng(1717)
+    cases = list(_kurtosis_cases(rng))
+    ours = np.array([feat.kurtosis(x) for x in cases])
+    ref = np.array([_scipy_kurtosis(x) for x in cases])
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(ours), nan)
+    assert ours[~nan].tobytes() == ref[~nan].tobytes()
+    assert len(cases) >= 1000
+    assert 50 < nan.sum() < len(cases) // 2     # both branches exercised
+    assert sum(len(x) == 2 for x in cases) >= 100
+
+
+def test_kurtosis_hand_values():
+    assert feat.kurtosis(np.array([-1.0, 1.0])) == -2.0
+    # mean 1/4: m2 = 3/16, m4 = 21/256, so m4 / m2^2 = 7/3
+    assert feat.kurtosis(np.array([0.0, 0.0, 0.0, 1.0])) == pytest.approx(-2 / 3, abs=1e-15)
+    assert np.isnan(feat.kurtosis(np.full(5, 3.0)))

@@ -3,7 +3,11 @@ accounting, stage wiring on a tiny end-to-end run, and the evaluation
 report bundle."""
 
 import hashlib
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,6 +161,19 @@ def test_manifest_records_training_wall_time_and_checkpoint_digests(pipeline):
         assert man[f"{key}_wall_s"] > 0
         assert man[f"{key}_sha256"] == hashlib.sha256(
             (out / f"{key}.ck").read_bytes()).hexdigest()
+
+
+def test_manifest_records_every_stage_wall_time(pipeline):
+    """Each stage's wall time is in manifest.yaml, the calibrations under
+    the keys of their sim_calls counters, which stay as they were."""
+    out, _, summary = pipeline
+    man = read_manifest(out)
+    keys = ["benchmark", "surrogate", "metamarket", "evaluation"]
+    keys += [f"calibrate_{k}" for k in ("calisim", "randsearch_seed0", "bayesopt_seed0")]
+    for key in keys:
+        assert man[f"{key}_wall_s"] > 0, key
+    assert set(man["sim_calls"]) == {"calisim", "randsearch_seed0", "bayesopt_seed0"}
+    assert summary["sim_calls"] == man["sim_calls"]
 
 
 @pytest.mark.parametrize("method, ck", [("randsearch", "surrogate.ck"),
@@ -339,6 +356,24 @@ def test_cli_simulate_and_extract(pipeline, tmp_path, capsys):
     assert np.array_equal(got, bench.days[day].features)
 
 
+@pytest.mark.parametrize("b_norm", ["2,0,0,0,0", "0.5,0.5,-0.1,0.5,0.5", "nan,0,0,0,0",
+                                    "0,0,0,0,inf", "0.5,x,0.5,0.5,0.5", "0.5,0.5"])
+def test_cli_simulate_rejects_bad_b_norm(pipeline, tmp_path, capsys, b_norm):
+    """A coordinate outside [0, 1] is an error, not a silent clip to the bound."""
+    out, bench, _ = pipeline
+    prefix = tmp_path / "stream"
+    assert main(["--out", str(out), "simulate", "--day", str(bench.test_days[0].day),
+                 "--b-norm", b_norm, "--stream-out", str(prefix)]) == 1
+    assert "b-norm" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_simulate_accepts_b_norm_at_the_bounds(pipeline, tmp_path, capsys):
+    out, bench, _ = pipeline
+    assert main(["--out", str(out), "simulate", "--day", str(bench.test_days[0].day),
+                 "--b-norm", "0,1,0.5,1,0", "--stream-out", str(tmp_path / "s")]) == 0
+
+
 def test_cli_hypothesize(pipeline, capsys):
     out, bench, _ = pipeline
     day = bench.test_days[0].day
@@ -347,3 +382,15 @@ def test_cli_hypothesize(pipeline, capsys):
     assert f"day {day}" in capsys.readouterr().out
     assert main(["--out", str(out), "hypothesize", "--day", str(day),
                  "--set", "trend"]) == 1
+
+
+def test_import_leaves_scipy_stats_out():
+    """calisim needs scipy.linalg and scipy.special only; scipy.stats, the
+    largest import of all, must not be pulled in by any module."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, calisim, calisim.cli, calisim.harness\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
