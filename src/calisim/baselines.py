@@ -6,7 +6,8 @@ target features.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -23,27 +24,35 @@ NOISE_VAR = 1e-6
 _SQRT_2PI = np.sqrt(2 * np.pi)
 
 
-def _score(b: BehaviorVector, cfg: SimConfig, fund: FundamentalSeries,
-           target_z: np.ndarray, norm: FeatureNormalizer, seed: int) -> float:
-    """Reconstruction error of one simulated day against z-scored targets."""
-    q = feat.extract(run_day(cfg, b, fund, seed=seed))
-    return feat.reconstruction_error_z(norm.transform(q), target_z)
+@dataclass
+class DayScore:
+    """Scores candidates on one day: `score(b, seed)` simulates the day under
+    `b` and returns the reconstruction error of its features against the
+    z-scored targets. `calls` counts the simulated days."""
+
+    cfg: SimConfig
+    fund: FundamentalSeries
+    target_z: np.ndarray
+    norm: FeatureNormalizer
+    calls: int = field(default=0, init=False)
+
+    def __call__(self, b: BehaviorVector, seed: int) -> float:
+        self.calls += 1
+        q = feat.extract(run_day(self.cfg, b, self.fund, seed=seed))
+        return feat.reconstruction_error_z(self.norm.transform(q), self.target_z)
 
 
-def random_search(cfg: SimConfig, fund: FundamentalSeries, target_z: np.ndarray,
-                  norm: FeatureNormalizer, trials: int = 10, seed: int = 0,
-                  ) -> tuple[BehaviorVector, float]:
-    """Uniform candidates in normalized space; argmin simulated error.
-
-    Exactly `trials` simulator calls.
-    """
+def random_search(score: Callable[[BehaviorVector, int], float], trials: int = 10,
+                  seed: int = 0) -> tuple[BehaviorVector, float]:
+    """Uniform candidates in normalized space; argmin of `score`, called
+    exactly `trials` times."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA5]))
     best_b, best_s = None, np.inf
     for t in range(trials):
         b = BehaviorVector.from_normalized(rng.random(N_BEHAVIOR))
-        s = _score(b, cfg, fund, target_z, norm, seed=int(rng.integers(2 ** 31)))
+        s = score(b, int(rng.integers(2 ** 31)))
         if s < best_s:
             best_b, best_s = b, s
     return best_b, float(best_s)
@@ -131,11 +140,10 @@ def expected_improvement(mu: np.ndarray, var: np.ndarray, best: float) -> np.nda
     return np.maximum(ei, 0.0)
 
 
-def bayes_opt(cfg: SimConfig, fund: FundamentalSeries, target_z: np.ndarray,
-              norm: FeatureNormalizer, trials: int = 10, seed: int = 0,
-              ) -> tuple[BehaviorVector, float]:
+def bayes_opt(score: Callable[[BehaviorVector, int], float], trials: int = 10,
+              seed: int = 0) -> tuple[BehaviorVector, float]:
     """3 uniform warm starts, then EI-guided evaluations up to `trials`
-    total simulator calls; returns the best observed candidate."""
+    calls of `score` in total; returns the best observed candidate."""
     if trials < WARM_STARTS + 1:
         raise ValueError(f"trials must be > {WARM_STARTS} warm starts")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB0]))
@@ -154,7 +162,6 @@ def bayes_opt(cfg: SimConfig, fund: FundamentalSeries, target_z: np.ndarray,
             ei = expected_improvement(mu, var, best=float(np.min(ys)))
             cand = cands[int(np.argmax(ei))]
         xs.append(cand)
-        ys.append(_score(BehaviorVector.from_normalized(cand), cfg, fund, target_z, norm,
-                         seed=int(rng.integers(2 ** 31))))
+        ys.append(score(BehaviorVector.from_normalized(cand), int(rng.integers(2 ** 31))))
     k = int(np.argmin(ys))
     return BehaviorVector.from_normalized(xs[k]), float(ys[k])

@@ -8,7 +8,7 @@ one lets calibration quality be measured directly as ||b_hat - b*||.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -97,14 +97,7 @@ class Benchmark:
                     surrogate_per_day=self.surrogate_per_day,
                     surrogate_replicates=self.surrogate_replicates,
                     a_map=[[float(v) for v in row] for row in self.a_map],
-                    cfg=dict(slots_per_day=self.cfg.slots_per_day,
-                             n_agents=self.cfg.n_agents,
-                             wake_prob=self.cfg.wake_prob,
-                             tick_size=self.cfg.tick_size,
-                             lot_size=self.cfg.lot_size,
-                             open_price=self.cfg.open_price,
-                             alpha_ref=self.cfg.alpha_ref,
-                             lambda_band=self.cfg.lambda_band))
+                    cfg=asdict(self.cfg))
         with open(out_dir / "benchmark.yaml", "w") as f:
             yaml.safe_dump(meta, f, sort_keys=False)
         write_table(out_dir / "days.csv", _days_header(self.cfg.fundamental_len), (

@@ -155,7 +155,13 @@ def _dispatch(args, cfg: dict) -> int:
             if "=" not in item:
                 raise ConfigError(f"config field set: expected NAME=DELTA, got {item!r}")
             name, _, val = item.partition("=")
-            deltas[name] = float(val)
+            try:
+                deltas[name] = float(val)
+            except ValueError:
+                deltas[name] = np.nan
+            if not np.isfinite(deltas[name]):
+                raise ConfigError(f"config field set: the delta of {name} must be "
+                                  f"a finite number, got {val!r}")
         report = harness.stage_hypothesize(cfg, out, args.day, deltas,
                                            metamarket_tag=args.tag)
         print(f"day {report['day']}")

@@ -17,7 +17,6 @@ import yaml
 from . import baselines as bl
 from . import features as feat
 from . import metamarket as mm
-from . import simulator as sim
 from . import surrogate as sur
 from .agents import BEHAVIOR_NAMES, BehaviorVector
 from .benchmark import Benchmark, gen_benchmark
@@ -230,16 +229,18 @@ def calibrate_calisim(bench: Benchmark, k: mm.MetaMarket,
 
 
 def calibrate_baseline(bench: Benchmark, method: str, net: sur.SurrogateNet,
-                       trials: int, seed: int) -> list[tuple[int, BehaviorVector]]:
+                       trials: int, seed: int,
+                       ) -> tuple[list[tuple[int, BehaviorVector]], int]:
+    """Search calibration of every test day; returns the rows and the number
+    of simulated days the day scorers counted."""
     search = bl.random_search if method == "randsearch" else bl.bayes_opt
-    out = []
+    out, calls = [], 0
     for d in bench.test_days:
-        target_z = net.norm.transform(d.features)
-        day_seed = (seed << 20) ^ d.day
-        b, _ = search(bench.cfg, d.fund, target_z, net.norm,
-                      trials=trials, seed=day_seed)
+        score = bl.DayScore(bench.cfg, d.fund, net.norm.transform(d.features), net.norm)
+        b, _ = search(score, trials=trials, seed=(seed << 20) ^ d.day)
         out.append((d.day, b))
-    return out
+        calls += score.calls
+    return out, calls
 
 
 def stage_calibrate(cfg: dict, out_dir: Path, method: str, seed: int = 0,
@@ -248,19 +249,18 @@ def stage_calibrate(cfg: dict, out_dir: Path, method: str, seed: int = 0,
     t0 = time.perf_counter()
     out_dir = Path(out_dir)
     bench = bench or _load_benchmark(out_dir)
-    sim.reset_sim_calls()
     if method == "calisim":
         rows = calibrate_calisim(bench, _load_metamarket(out_dir, metamarket_tag))
+        calls = 0
         source = "calisim" + metamarket_tag
         path = out_dir / f"calibration_{source}.csv"
     elif method in ("randsearch", "bayesopt"):
-        rows = calibrate_baseline(bench, method, _load_surrogate(out_dir),
-                                  trials=int(cfg["baselines"]["trials"]), seed=seed)
+        rows, calls = calibrate_baseline(bench, method, _load_surrogate(out_dir),
+                                         trials=int(cfg["baselines"]["trials"]), seed=seed)
         source = method
         path = out_dir / f"calibration_{source}_seed{seed}.csv"
     else:
         raise ConfigError(f"config field method: unknown method {method!r}")
-    calls = sim.sim_call_count()
     mm.write_calibration(path, [(day, b, source) for day, b in rows])
     man = read_manifest(out_dir)
     counters = man.get("sim_calls", {})
@@ -282,6 +282,7 @@ class MethodEval:
     variation: np.ndarray    # consecutive-day steps, per search seed
     recovery: np.ndarray     # ||b_hat - b*||^2 per (day, search seed)
     corr: np.ndarray         # (5 indicators, 5 behavior coords) mean |rho|
+    sim_calls: int           # simulated days spent scoring
 
 
 def _collect_calibrations(out_dir: Path, source: str,
@@ -311,16 +312,16 @@ def _eval_method(bench: Benchmark, source: str,
                  eval_seeds: list[int]) -> MethodEval:
     days = bench.test_days
     recon, variation, recovery = [], [], []
-    corr_stack = []
+    corr_stack, calls = [], 0
     for cal in cals:
         bs = np.array([cal[d.day].normalized() for d in days])
         variation.extend(np.sum(np.diff(bs, axis=0) ** 2, axis=1))
         recovery.extend(np.sum((bs - np.array([d.b_star.normalized() for d in days])) ** 2,
                                axis=1))
         for d in days:
-            target_z = net.norm.transform(d.features)
-            recon.extend(bl._score(cal[d.day], bench.cfg, d.fund, target_z, net.norm,
-                                   seed=(es << 24) ^ d.seed) for es in eval_seeds)
+            score = bl.DayScore(bench.cfg, d.fund, net.norm.transform(d.features), net.norm)
+            recon.extend(score(cal[d.day], (es << 24) ^ d.seed) for es in eval_seeds)
+            calls += score.calls
         states = np.array([d.state_assembled for d in days])
         corr = np.zeros((len(STATE_NAMES), len(BEHAVIOR_NAMES)))
         for i in range(len(STATE_NAMES)):
@@ -332,7 +333,7 @@ def _eval_method(bench: Benchmark, source: str,
                     corr[i, j] = abs(np.corrcoef(si, bj)[0, 1])
         corr_stack.append(corr)
     return MethodEval(source, np.array(recon), np.array(variation),
-                      np.array(recovery), np.mean(corr_stack, axis=0))
+                      np.array(recovery), np.mean(corr_stack, axis=0), calls)
 
 
 def stage_evaluate(cfg: dict, out_dir: Path, bench: Benchmark | None = None) -> dict:
@@ -385,7 +386,8 @@ def stage_evaluate(cfg: dict, out_dir: Path, bench: Benchmark | None = None) -> 
     with open(report_dir / "summary.yaml", "w") as f:
         yaml.safe_dump(summary, f, sort_keys=False)
     update_manifest(out_dir, evaluation=str(report_dir),
-                    evaluation_wall_s=time.perf_counter() - t0)
+                    evaluation_wall_s=time.perf_counter() - t0,
+                    evaluation_sim_calls=sum(e.sim_calls for e in evals.values()))
     return summary
 
 

@@ -98,9 +98,6 @@ class Book:
     def order(self, order_id: int) -> LimitOrder | None:
         return self._resting.get(order_id)
 
-    def depth(self, side: Side) -> int:
-        return sum(len(q) for q in self._levels[side].values())
-
     # -- operations -------------------------------------------------------------
 
     def place_limit(self, order: LimitOrder) -> list[TradeEvent]:

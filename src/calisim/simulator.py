@@ -22,20 +22,6 @@ from .tables import file_sha256, read_table, write_table
 
 FUNDAMENTAL_INTERVAL_SLOTS = 600  # ten minutes
 
-# Global accounting of simulator invocations (drives the efficiency
-# comparison between one-shot and search-based calibration).
-_SIM_CALLS = 0
-
-
-def sim_call_count() -> int:
-    return _SIM_CALLS
-
-
-def reset_sim_calls():
-    global _SIM_CALLS
-    _SIM_CALLS = 0
-
-
 @dataclass(frozen=True)
 class SimConfig:
     slots_per_day: int = 14400
@@ -148,8 +134,6 @@ def run_day(cfg: SimConfig, b: BehaviorVector, fund: FundamentalSeries,
     reused within the minute; the cache is dropped whenever `MinuteHistory`
     appends, the only point where the history changes.
     """
-    global _SIM_CALLS
-    _SIM_CALLS += 1
     if len(fund.values) != cfg.fundamental_len:
         raise ValueError(
             f"fundamental length {len(fund.values)} != expected {cfg.fundamental_len}")
@@ -305,7 +289,7 @@ def replay(stream: OrderStream, check_trades: bool = True) -> np.ndarray:
     """Re-run the recorded events through a fresh book.
 
     Returns the per-slot mid series (ticks). With `check_trades`, raises
-    AssertionError unless the book reproduces the recorded TRADE events
+    ValueError unless the book reproduces the recorded TRADE events
     exactly, every CANCEL finds its order resting, and no event lies past
     the last slot.
     """
@@ -325,17 +309,17 @@ def replay(stream: OrderStream, check_trades: bool = True) -> np.ndarray:
                             pending is None or pending.kind != "TRADE"
                             or (pending.order_id, pending.match_id, pending.price,
                                 pending.size) != (tr.maker, tr.taker, tr.price, tr.size)):
-                        raise AssertionError("replay diverged from recorded trades")
+                        raise ValueError("replay diverged from recorded trades")
             elif e.kind == "CANCEL":
                 if not book.cancel(e.order_id) and check_trades:
-                    raise AssertionError(f"cancel of order {e.order_id}, not resting")
+                    raise ValueError(f"cancel of order {e.order_id}, not resting")
             elif check_trades:
-                raise AssertionError(f"{e.kind} event at slot {slot} that no order produced")
+                raise ValueError(f"{e.kind} event at slot {slot} that no order produced")
             pending = next(ev_iter, None)
         mid_slot[slot] = book.mid_price()
     if check_trades and pending is not None:
-        raise AssertionError(f"event at slot {pending.slot} not replayed: "
-                             "out of order or past the last slot")
+        raise ValueError(f"event at slot {pending.slot} not replayed: "
+                         "out of order or past the last slot")
     return mid_slot
 
 
@@ -390,7 +374,7 @@ def read_stream(prefix: Path) -> OrderStream:
                          read_table(events, EVENT_HEADER, _parse_event))
     try:
         stream.mid_slot = replay(stream, check_trades=True)
-    except (AssertionError, ValueError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{events}: {exc}") from exc
     mids = read_table(f"{prefix}.mids.csv", MIDS_HEADER, lambda row: float(row[1]))
     if not np.array_equal(mids, stream.mid_minute):

@@ -308,8 +308,9 @@ def test_criterion_07_state_correlation(pipeline):
 
 
 def test_criterion_08_simulator_call_budget(pipeline):
-    """Counter-verified via the global simulator-call counter, independent
-    of the search implementations' own loop accounting."""
+    """Counter-verified via `DayScore.calls`, counted where each day is
+    simulated, independent of the search implementations' own loop
+    accounting."""
     counters = harness.read_manifest(pipeline.out)["sim_calls"]
     n_days = len(pipeline.bench.test_days)
     trials = pipeline.cfg["baselines"]["trials"]

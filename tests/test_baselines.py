@@ -7,9 +7,9 @@ import pytest
 from scipy import stats
 
 from calisim import baselines as bl
-from calisim import simulator as sim
 from calisim.baselines import (
     WARM_STARTS,
+    DayScore,
     GPModel,
     bayes_opt,
     expected_improvement,
@@ -26,7 +26,7 @@ def flat_fund() -> FundamentalSeries:
     return FundamentalSeries(np.full(CFG.fundamental_len, 100.0))
 
 
-def quadratic_score(b, *args, **kwargs) -> float:
+def quadratic_score(b, seed) -> float:
     """Cheap stand-in objective: distance to an interior optimum."""
     return float(np.sum((b.normalized() - 0.3) ** 2))
 
@@ -35,37 +35,34 @@ def quadratic_score(b, *args, **kwargs) -> float:
 
 
 def test_random_search_uses_exactly_trials_sim_calls():
-    sim.reset_sim_calls()
-    random_search(CFG, flat_fund(), np.zeros(13), NORM, trials=3, seed=0)
-    assert sim.sim_call_count() == 3
+    score = DayScore(CFG, flat_fund(), np.zeros(13), NORM)
+    random_search(score, trials=3, seed=0)
+    assert score.calls == 3
 
 
 def test_bayes_opt_uses_exactly_trials_sim_calls():
-    sim.reset_sim_calls()
-    bayes_opt(CFG, flat_fund(), np.zeros(13), NORM, trials=5, seed=0)
-    assert sim.sim_call_count() == 5
+    score = DayScore(CFG, flat_fund(), np.zeros(13), NORM)
+    bayes_opt(score, trials=5, seed=0)
+    assert score.calls == 5
 
 
 def test_budget_validation():
     with pytest.raises(ValueError):
-        random_search(CFG, flat_fund(), np.zeros(13), NORM, trials=0)
+        random_search(quadratic_score, trials=0)
     with pytest.raises(ValueError):
-        bayes_opt(CFG, flat_fund(), np.zeros(13), NORM, trials=WARM_STARTS)
+        bayes_opt(quadratic_score, trials=WARM_STARTS)
 
 
-def test_random_search_deterministic(monkeypatch):
-    monkeypatch.setattr(bl, "_score", quadratic_score)
-    b1, s1 = random_search(CFG, flat_fund(), np.zeros(13), NORM, trials=10, seed=4)
-    b2, s2 = random_search(CFG, flat_fund(), np.zeros(13), NORM, trials=10, seed=4)
+def test_random_search_deterministic():
+    b1, s1 = random_search(quadratic_score, trials=10, seed=4)
+    b2, s2 = random_search(quadratic_score, trials=10, seed=4)
     assert s1 == s2 and np.array_equal(b1.as_array(), b2.as_array())
 
 
-def test_random_search_monotone_in_budget(monkeypatch):
+def test_random_search_monotone_in_budget():
     """With the same seed the candidate sequence is a prefix, so a larger
     budget can never return a worse score."""
-    monkeypatch.setattr(bl, "_score", quadratic_score)
-    scores = [random_search(CFG, flat_fund(), np.zeros(13), NORM,
-                            trials=t, seed=7)[1] for t in (5, 10, 20)]
+    scores = [random_search(quadratic_score, trials=t, seed=7)[1] for t in (5, 10, 20)]
     assert scores[0] >= scores[1] >= scores[2]
 
 
@@ -133,15 +130,12 @@ def test_expected_improvement_prefers_low_mean_at_equal_variance():
 # -- search quality -----------------------------------------------------------------
 
 
-def test_bayes_opt_beats_random_search_on_synthetic_objective(monkeypatch):
+def test_bayes_opt_beats_random_search_on_synthetic_objective():
     """On a smooth unimodal objective, model-guided search should win most
     head-to-head runs at equal budget."""
-    monkeypatch.setattr(bl, "_score", quadratic_score)
     wins = 0
     for seed in range(50):
-        _, s_rand = random_search(CFG, flat_fund(), np.zeros(13), NORM,
-                                  trials=10, seed=seed)
-        _, s_bo = bayes_opt(CFG, flat_fund(), np.zeros(13), NORM,
-                            trials=10, seed=seed)
+        _, s_rand = random_search(quadratic_score, trials=10, seed=seed)
+        _, s_bo = bayes_opt(quadratic_score, trials=10, seed=seed)
         wins += s_bo < s_rand
     assert wins >= 30

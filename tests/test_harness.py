@@ -15,6 +15,7 @@ import yaml
 
 from calisim import benchmark as bm
 from calisim import harness
+from calisim import simulator as sim
 from calisim.cli import main
 from calisim.harness import ConfigError, load_config, read_manifest, update_manifest
 
@@ -145,6 +146,38 @@ def test_sim_call_accounting(pipeline):
     for key in ("randsearch_seed0", "bayesopt_seed0"):
         assert counters[key]["total"] == trials * n_days
         assert counters[key]["per_day"] == trials
+
+
+def test_one_shot_calibration_never_simulates(pipeline, tmp_path, monkeypatch):
+    """With run_day raising in every calisim module that binds it, the
+    one-shot calibration still writes the same rows and records 0
+    simulator calls."""
+    out, bench, _ = pipeline
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("one-shot calibration simulated a day")
+
+    run_day, patched = sim.run_day, set()
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("calisim") and getattr(mod, "run_day", None) is run_day:
+            monkeypatch.setattr(mod, "run_day", no_simulation)
+            patched.add(name)
+    assert {"calisim.simulator", "calisim.baselines", "calisim.surrogate"} <= patched
+    path = harness.stage_calibrate(TINY_CFG, run, "calisim", bench=bench)
+    assert path.read_bytes() == (out / "calibration_calisim.csv").read_bytes()
+    assert read_manifest(run)["sim_calls"]["calisim"]["total"] == 0
+
+
+def test_manifest_records_evaluation_sim_calls(pipeline):
+    """evaluate simulates every test day once per eval seed for each
+    calibration map it scores: calisim, one per search seed of each
+    baseline, and the ground truth."""
+    out, bench, _ = pipeline
+    n_maps = 2 + 2 * len(TINY_CFG["baselines"]["seeds"])
+    assert read_manifest(out)["evaluation_sim_calls"] == (
+        len(bench.test_days) * len(TINY_CFG["evaluate"]["eval_seeds"]) * n_maps)
 
 
 def test_manifest_counts_skipped_optimizer_steps(pipeline):
@@ -382,6 +415,15 @@ def test_cli_hypothesize(pipeline, capsys):
     assert f"day {day}" in capsys.readouterr().out
     assert main(["--out", str(out), "hypothesize", "--day", str(day),
                  "--set", "trend"]) == 1
+
+
+@pytest.mark.parametrize("delta", ["abc", "nan", "inf", "-inf", ""])
+def test_cli_hypothesize_rejects_bad_delta(pipeline, capsys, delta):
+    out, bench, _ = pipeline
+    assert main(["--out", str(out), "hypothesize", "--day", str(bench.test_days[0].day),
+                 "--set", f"trend={delta}"]) == 1
+    err = capsys.readouterr().err
+    assert "config field set: the delta of trend must be a finite number" in err
 
 
 def test_import_leaves_scipy_stats_out():

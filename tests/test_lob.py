@@ -67,7 +67,7 @@ def test_market_order_residue_discarded():
     book.place_limit(lo(1, Side.ASK, 100, 2))
     trades = book.place_market(Side.BID, 5, agent=1, order_id=2, slot=0)
     assert [(t.price, t.size) for t in trades] == [(100, 2)]
-    assert book.depth(Side.BID) == 0
+    assert book.best_bid() is None
     assert book.order(2) is None
 
 
@@ -130,6 +130,12 @@ def test_trade_at_maker_price_even_when_taker_bids_higher():
 
 
 # -- bulk property scripts -----------------------------------------------------
+
+
+def resting_orders(book: Book) -> list[tuple[int, int, int, int]]:
+    """(side, price, id, size) of every resting order, in queue order."""
+    return [(side, price, o.id, o.size) for side in Side
+            for price, level in sorted(book._levels[side].items()) for o in level]
 
 
 def run_script(ops, collect_mids=False):
@@ -196,8 +202,7 @@ def test_script_determinism(ops):
     b1, t1, m1 = run_script(ops, collect_mids=True)
     b2, t2, m2 = run_script(ops, collect_mids=True)
     assert t1 == t2 and m1 == m2
-    assert b1.depth(Side.BID) == b2.depth(Side.BID)
-    assert b1.depth(Side.ASK) == b2.depth(Side.ASK)
+    assert resting_orders(b1) == resting_orders(b2)
 
 
 def test_conservation_over_random_script():

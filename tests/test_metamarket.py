@@ -7,7 +7,6 @@ import pytest
 from calisim import autodiff as ad
 from calisim import metamarket as mm
 from calisim import nn
-from calisim import simulator as sim
 from calisim.autodiff import Tensor
 from calisim.features import FeatureNormalizer
 from calisim.metamarket import (
@@ -68,14 +67,6 @@ def test_estimator_output_in_unit_cube():
     b = k.infer(window(rng), rng.normal(size=5))
     z = b.normalized()
     assert np.all((z >= 0) & (z <= 1))
-
-
-def test_infer_uses_zero_sim_calls():
-    k = make_k()
-    rng = np.random.default_rng(4)
-    sim.reset_sim_calls()
-    k.infer(window(rng), rng.normal(size=5))
-    assert sim.sim_call_count() == 0
 
 
 def test_analyzer_theta2_shape():

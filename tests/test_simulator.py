@@ -2,6 +2,7 @@
 settlement arithmetic, replay oracle, and stream persistence."""
 
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -281,12 +282,14 @@ def test_replay_oracle(day_stream):
     assert np.array_equal(mids, day_stream.mid_slot)
 
 
-def test_sim_call_counter(day_stream):
-    sim.reset_sim_calls()
-    assert sim.sim_call_count() == 0
-    run_day(CFG, B_MID, flat_fund(), seed=1)
-    run_day(CFG, B_MID, flat_fund(), seed=2)
-    assert sim.sim_call_count() == 2
+def test_replay_rejects_altered_trade(day_stream):
+    """A stream whose first TRADE no longer matches what the book fills
+    raises ValueError from `replay` itself, not only from `read_stream`."""
+    events = list(day_stream.events)
+    i = next(i for i, e in enumerate(events) if e.kind == "TRADE")
+    events[i] = replace(events[i], size=events[i].size + 1)
+    with pytest.raises(ValueError, match="replay diverged from recorded trades"):
+        replay(replace(day_stream, events=events))
 
 
 def test_stream_roundtrip(tmp_path, day_stream):
