@@ -116,8 +116,6 @@ def build_population(b: BehaviorVector, n_agents: int, alpha_ref: float,
     agents get doubled account ranges. Cash is in tick units so accounts
     stay integral.
     """
-    if n_agents < 1:
-        raise ValueError("n_agents must be >= 1")
     # .tolist() once: every field is then a Python float/int/bool, so each
     # wake's demand arithmetic runs on Python floats, not numpy scalars
     # (the same IEEE doubles, and both round half to even)

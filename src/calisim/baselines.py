@@ -10,8 +10,10 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import ndtr
+
+# scipy is imported inside the three GP functions that use it, not here: only
+# GP-BO needs it, and every other calisim process is spared its import time
+# and resident memory
 
 from . import features as feat
 from .agents import N_BEHAVIOR, BehaviorVector
@@ -104,6 +106,7 @@ class GPModel:
 
     def posterior(self, xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Mean and variance at query points (n_q, 5)."""
+        from scipy.linalg import solve_triangular
         xq = np.atleast_2d(np.asarray(xq, dtype=float))
         ks = self._kernel(self.x, xq, self.length, self.signal)
         mu = self.y_mean + ks.T @ self.alpha
@@ -114,6 +117,7 @@ class GPModel:
 
 def _chol_solve(k: np.ndarray, y: np.ndarray):
     """Cholesky of K + noise with escalating jitter; (None, None) if hopeless."""
+    from scipy.linalg import solve_triangular
     jitter = NOISE_VAR
     for _ in range(6):
         try:
@@ -131,6 +135,7 @@ def expected_improvement(mu: np.ndarray, var: np.ndarray, best: float) -> np.nda
     """EI for minimization; exactly zero where the variance is zero. The
     normal CDF and density are the ones SciPy's normal distribution evaluates
     at finite z, so the result matches its cdf/pdf formula bit for bit."""
+    from scipy.special import ndtr
     sd = np.sqrt(var)
     ei = np.zeros_like(mu)
     pos = sd > 0

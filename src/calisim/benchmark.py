@@ -111,7 +111,10 @@ class Benchmark:
         out_dir = Path(out_dir)
         with open(out_dir / "benchmark.yaml") as f:
             meta = yaml.safe_load(f)
-        cfg = SimConfig(**meta["cfg"])
+        try:
+            cfg = SimConfig(**meta["cfg"])
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"{out_dir / 'benchmark.yaml'}: {e}") from e
         macro = MacroTable.read(out_dir / "macro.csv")
         path = out_dir / "days.csv"
         days = read_table(path, _days_header(cfg.fundamental_len), _parse_day)

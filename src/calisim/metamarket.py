@@ -261,8 +261,10 @@ def train(k: MetaMarket, corpus: list[DayRecord], surrogate: SurrogateNet,
     curves = MetaCurves()
 
     def log_epoch(b: np.ndarray):
-        recon = np.mean([np.sum((surrogate.predict(b[i], funds[i]) - targets[i]) ** 2)
-                         for i in range(n)])
+        # a stack of (1, d) rows, not one (n, d) batch: each row's products then
+        # run as a lone row's do, and the log equals the per-row one bit for bit
+        pred = surrogate.predict(b[:, None, :], funds[:, None, :])[:, 0]
+        recon = np.mean(np.sum((pred - targets) ** 2, axis=1))
         var = np.mean(np.sum(np.diff(b, axis=0) ** 2, axis=1))
         curves.recon.append(float(recon))
         curves.variation.append(float(var))

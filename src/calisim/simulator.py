@@ -21,6 +21,7 @@ from .lob import ASK, BID, Book, LimitOrder, Side, TradeEvent
 from .tables import file_sha256, read_table, write_table
 
 FUNDAMENTAL_INTERVAL_SLOTS = 600  # ten minutes
+WAKE_CHUNK_SLOTS = 600  # rows of the wake matrix drawn at a time
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -41,6 +42,14 @@ class SimConfig:
             raise ValueError("wake_prob must be in (0, 1]")
         if self.open_price <= 0 or self.tick_size <= 0:
             raise ValueError("open_price and tick_size must be positive")
+        if self.n_agents < 1:
+            raise ValueError(f"n_agents must be >= 1, got {self.n_agents}")
+        if self.lot_size < 1:
+            raise ValueError(f"lot_size must be >= 1, got {self.lot_size}")
+        if not self.alpha_ref > 0:
+            raise ValueError(f"alpha_ref must be positive, got {self.alpha_ref}")
+        if not 0.0 <= self.lambda_band < 1.0:
+            raise ValueError(f"lambda_band must be in [0, 1), got {self.lambda_band}")
 
     @property
     def open_price_ticks(self) -> int:
@@ -159,12 +168,9 @@ def run_day(cfg: SimConfig, b: BehaviorVector, fund: FundamentalSeries,
     seq = 0
 
     n_agents = cfg.n_agents
-    wake = rng.random((cfg.slots_per_day, n_agents)) < cfg.wake_prob
-    # flattened wake schedule, row-major (slot, then ascending agent id),
-    # ending in a sentinel past the last slot; a moving pointer walks it and
-    # decodes each entry into (slot, agent) by one divmod
-    wakes = np.flatnonzero(wake).tolist()
-    wakes.append(wake.size)
+    # a moving pointer walks the wake schedule and decodes each entry into
+    # (slot, agent) by one divmod
+    wakes = _wake_schedule(rng, cfg)
     ptr = 0
     wake_slot, a_idx = divmod(wakes[0], n_agents)
 
@@ -219,6 +225,35 @@ def run_day(cfg: SimConfig, b: BehaviorVector, fund: FundamentalSeries,
 
     stream.mid_slot = np.array(mid_slot)
     return stream
+
+
+def _wake_schedule(rng: np.random.Generator, cfg: SimConfig) -> list[int]:
+    """The day's wakes as flat indices `slot * n_agents + agent`, row-major
+    (slot, then ascending agent id), ending in a sentinel past the last slot.
+
+    The entries are the nonzeros of `rng.random((slots_per_day, n_agents)) <
+    wake_prob`, drawn WAKE_CHUNK_SLOTS rows at a time from a copy of the
+    generator, so the whole matrix never exists. `rng` itself is advanced
+    past those draws (each float64 of `Generator.random` takes one 64-bit
+    output), so it continues exactly as after the one-shot draw.
+    """
+    bit_gen = rng.bit_generator
+    state = bit_gen.state
+    if state["has_uint32"]:
+        # advance() drops the buffered half, which the one-shot draw keeps
+        raise RuntimeError("wake schedule: the generator holds a buffered 32-bit "
+                           "output that advancing it would drop")
+    draws = np.random.Generator(np.random.PCG64())
+    draws.bit_generator.state = state
+    n_agents, slots = cfg.n_agents, cfg.slots_per_day
+    wakes: list[int] = []
+    for start in range(0, slots, WAKE_CHUNK_SLOTS):
+        rows = min(WAKE_CHUNK_SLOTS, slots - start)
+        wake = draws.random((rows, n_agents)) < cfg.wake_prob
+        wakes += (np.flatnonzero(wake) + start * n_agents).tolist()
+    wakes.append(slots * n_agents)
+    bit_gen.advance(slots * n_agents)
+    return wakes
 
 
 def _stale_orders(st: _AgentState, slot: int) -> list[int]:

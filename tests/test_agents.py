@@ -120,12 +120,6 @@ def test_population_holds_python_scalars():
                     f"{type(obj).__name__}.{name} is {type(getattr(obj, name))}")
 
 
-def test_build_population_rejects_empty():
-    b = BehaviorVector(1.0, 1.0, 1.0, 600.0, 0.0)
-    with pytest.raises(ValueError):
-        build_population(b, 0, 2.5e-5, 10000, np.random.default_rng(0))
-
-
 # -- price estimation ----------------------------------------------------------------
 
 

@@ -4,6 +4,7 @@ determinism, and persistence."""
 
 import numpy as np
 import pytest
+import yaml
 
 from calisim import benchmark as bm
 from calisim.benchmark import Benchmark, gen_benchmark
@@ -116,3 +117,15 @@ def test_save_load_roundtrip(tmp_path, bench):
             assert a.state_assembled is None
         else:
             assert np.array_equal(a.state_assembled, b.state_assembled)
+
+
+def test_load_names_benchmark_yaml_when_the_config_is_rejected(tmp_path, bench):
+    """A `benchmark.yaml` edited to `lot_size: 0` fails on load, naming the
+    file and the field, not mid-day with a ZeroDivisionError."""
+    bench.save(tmp_path / "bench")
+    path = tmp_path / "bench" / "benchmark.yaml"
+    meta = yaml.safe_load(path.read_text())
+    meta["cfg"]["lot_size"] = 0
+    path.write_text(yaml.safe_dump(meta, sort_keys=False))
+    with pytest.raises(ValueError, match="benchmark.yaml: lot_size must be >= 1, got 0"):
+        Benchmark.load(tmp_path / "bench")

@@ -293,6 +293,21 @@ def test_train_log_is_the_forward_of_each_epochs_parameters():
     assert train(make_k(), corpus, net, epochs=2, seed=0).recon == expected
 
 
+def test_stacked_predict_matches_per_row_bitwise():
+    """The epoch log predicts all rows as one (n, 1, d) stack; each row of it
+    must equal a lone-row `predict`, bit for bit, across surrogates and
+    batch sizes, clipped rows included."""
+    rng = np.random.default_rng(7)
+    for trial in range(20):
+        net = make_surrogate(seed=trial)
+        n = int(rng.integers(1, 40))
+        b = rng.uniform(-0.2, 1.2, size=(n, 5))
+        funds = rng.normal(size=(n, FUND_DIM))
+        stacked = net.predict(b[:, None, :], funds[:, None, :])[:, 0]
+        rows = np.stack([net.predict(b[i], funds[i]) for i in range(n)])
+        assert stacked.tobytes() == rows.tobytes()
+
+
 def test_train_counts_skipped_steps_and_gives_up(monkeypatch):
     """Adam steps skipped on non-finite gradients are counted, and
     MAX_SKIPPED_IN_ROW of them in a row end the run naming the epoch."""

@@ -48,6 +48,20 @@ def test_config_validation():
         SimConfig(open_price=-1.0)
 
 
+@pytest.mark.parametrize("field, bad", [
+    pytest.param("n_agents", [0, -3], id="n_agents"),
+    pytest.param("lot_size", [0, -1], id="lot_size"),
+    pytest.param("alpha_ref", [0.0, -2.5e-5, float("nan")], id="alpha_ref"),
+    pytest.param("lambda_band", [-0.01, 1.0, 1.5, float("nan")], id="lambda_band"),
+])
+def test_config_rejects_out_of_range_field(field, bad):
+    """Each value that cannot run a day fails at construction, naming its
+    field, instead of dividing by zero mid-day or running silently."""
+    for value in bad:
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            SimConfig(**{field: value})
+
+
 def test_config_requires_one_fundamental_interval():
     """A day shorter than the fundamental's ten-minute grid has no
     fundamental value to run on."""
@@ -146,6 +160,47 @@ def test_wake_count_binomial_band():
             assert n_place <= calls[0]
     finally:
         ag.make_order = orig
+
+
+def _one_shot_wake_schedule(rng, cfg):
+    wake = rng.random((cfg.slots_per_day, cfg.n_agents)) < cfg.wake_prob
+    return np.flatnonzero(wake).tolist() + [wake.size]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 600, 10_000])
+@pytest.mark.parametrize("cfg", [
+    pytest.param(SimConfig(slots_per_day=1000, n_agents=1, wake_prob=0.3), id="one-agent"),
+    pytest.param(SimConfig(slots_per_day=600, n_agents=5, wake_prob=1.0), id="every-slot"),
+    pytest.param(SimConfig(slots_per_day=1000, n_agents=37), id="1000-slots"),
+    pytest.param(CFG, id="ci-shape"),
+])
+def test_chunked_wake_schedule_matches_one_shot(monkeypatch, cfg, chunk):
+    """The schedule drawn in chunks from a copy of the generator equals the
+    one-shot `flatnonzero` schedule, and the generator then continues with
+    the same normals, uniforms and 32-bit draws as after the one-shot draw."""
+    monkeypatch.setattr(sim, "WAKE_CHUNK_SLOTS", chunk)
+    for seed in range(3):
+        ours = np.random.default_rng(seed)
+        ref = np.random.default_rng(seed)
+        for rng in (ours, ref):   # 64-bit draws first, as build_population makes
+            rng.laplace(0.0, 1.0, 11)
+        assert sim._wake_schedule(ours, cfg) == _one_shot_wake_schedule(ref, cfg)
+        for rng in (ours, ref):
+            assert rng.bit_generator.state["has_uint32"] == 0
+        assert ours.normal(size=50).tobytes() == ref.normal(size=50).tobytes()
+        assert ours.random(50).tobytes() == ref.random(50).tobytes()
+        assert (ours.random(5, dtype=np.float32).tobytes()
+                == ref.random(5, dtype=np.float32).tobytes())
+
+
+def test_wake_schedule_rejects_a_pending_32_bit_half():
+    """Advancing the generator would drop a buffered 32-bit output that the
+    one-shot draw keeps, so the schedule refuses such a generator."""
+    rng = np.random.default_rng(0)
+    rng.random(dtype=np.float32)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    with pytest.raises(RuntimeError, match="32-bit"):
+        sim._wake_schedule(rng, CFG)
 
 
 def test_conservation_of_cash_and_holdings():
