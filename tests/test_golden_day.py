@@ -3,8 +3,9 @@ for bit, so a speed-up of the decision path or the slot loop cannot change
 an event, a mid or a feature without failing here. Four days run at the ci
 profile; two more run in a market with other tick, lot, band, open-price
 and population settings, so the lot-sizing and price-grid paths are pinned
-too. Two last days pin the edges of the wake schedule: a single agent, and
-a full schedule where every agent wakes in every slot.
+too. Three last days pin the edges of the day: a single agent, a full
+schedule where every agent wakes in every slot, and a day that ends in a
+partial minute.
 
 The digests were computed with the straightforward per-wake decision path
 (every trailing statistic recomputed on every wake). Regenerate them only
@@ -93,6 +94,9 @@ def test_golden_day_digest_non_ci_market(raw, offsets, seed, digest):
 # Edges of the wake schedule. One agent: every wake index is its slot. A
 # 600-slot day (the shortest that holds a fundamental sample) at
 # wake_prob=1.0: every agent wakes in every slot, so the schedule is full.
+# A 1230-slot day: 20 whole minutes and a trailing 30-slot minute that the
+# history never records, and slots 1200-1229 past the last fundamental
+# sample, where the series index clamps to its last value.
 # (config, behavior, fundamental, seed) -> digest
 GOLDEN_EDGE = [
     (SimConfig(slots_per_day=3600, n_agents=1, wake_prob=0.1),
@@ -101,11 +105,14 @@ GOLDEN_EDGE = [
     (SimConfig(slots_per_day=600, n_agents=20, wake_prob=1.0),
      (0.8, 1.2, 0.5, 120.0, 0.2), (101.0,), 3,
      "54396696a273d57d133f9bad34b9c86282dc42cd8d0b3f16e04c2b13e166681f"),
+    (SimConfig(slots_per_day=1230, n_agents=40),
+     (0.6, 1.4, 0.7, 240.0, 0.15), (100.0, 101.5), 11,
+     "baa8bb950a2e4ac282f40f8297c4836fd2d5c669b243f10b50287f89904aee05"),
 ]
 
 
 @pytest.mark.parametrize("cfg, raw, fund, seed, digest", GOLDEN_EDGE,
-                         ids=["one_agent", "every_agent_every_slot"])
+                         ids=["one_agent", "every_agent_every_slot", "partial_last_minute"])
 def test_golden_day_digest_wake_schedule_edges(cfg, raw, fund, seed, digest):
     stream = run_day(cfg, BehaviorVector(*raw), FundamentalSeries(np.array(fund)), seed=seed)
     assert day_digest(stream) == digest
