@@ -67,7 +67,7 @@ class BehaviorVector:
         return BehaviorVector(*np.asarray(raw, dtype=float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AgentProfile:
     g_f: float
     g_c: float
@@ -79,11 +79,14 @@ class AgentProfile:
     total: float = field(init=False)   # g_f + g_c + g_n, the estimate's divisor
 
     def __post_init__(self):
+        total = self.g_f + self.g_c + self.g_n
+        if total <= 0:
+            raise ValueError("agent has zero total type weight")
         object.__setattr__(self, "minutes", max(1, round(self.tau_i / SLOTS_PER_MINUTE)))
-        object.__setattr__(self, "total", self.g_f + self.g_c + self.g_n)
+        object.__setattr__(self, "total", total)
 
 
-@dataclass
+@dataclass(slots=True)
 class AgentAccount:
     cash: int                 # integer tick units
     holdings: int             # integer lots
@@ -211,10 +214,10 @@ class OrderIntent(NamedTuple):
     size: int    # lots
 
 
-def make_order(profile: AgentProfile, account: AgentAccount, *,
-               mid: float, p_c: float, var: float, fundamental_now: float,
-               sigma_noise: float, band: tuple[float, float], tick_size: float,
-               lot_size: int, rng: np.random.Generator) -> OrderIntent | None:
+def make_order(profile: AgentProfile, account: AgentAccount, mid: float, p_c: float,
+               var: float, fundamental_now: float, sigma_noise: float,
+               band: tuple[float, float], tick_size: float, lot_size: int,
+               rng: np.random.Generator) -> OrderIntent | None:
     """One wake-up decision: a single limit order (or nothing).
 
     The price estimate mixes, by type weight, the fundamental value, the
@@ -224,12 +227,10 @@ def make_order(profile: AgentProfile, account: AgentAccount, *,
     candidate price is uniform in `band` = (low, high) times the mid; the
     CARA demand there, rounded half to even and net of holdings, sets side
     and size; budget/inventory clamps keep the account invariants intact.
+    An account with no free lot and less free cash than one lot at the
+    candidate price can place nothing, so it returns after the draws,
+    which every wake makes, without the demand.
     """
-    total = profile.total
-    if total <= 0:
-        raise ValueError("agent has zero total type weight")
-    if p_c <= 0:
-        p_c = mid
     # the same draws as rng.normal(mid, sigma_noise) and rng.uniform(*band),
     # without their argument handling
     normal = rng.standard_normal
@@ -238,20 +239,25 @@ def make_order(profile: AgentProfile, account: AgentAccount, *,
     while p_n <= 0 and draws < 8:
         p_n = mid + sigma_noise * normal()
         draws += 1
-    if p_n <= 0:
-        p_n = mid
-    p_hat = (profile.g_f * fundamental_now + profile.g_c * p_c
-             + profile.g_n * p_n) / total
-    if p_hat < 1e-9:
-        p_hat = 1e-9
     low, high = band
     price_ticks = round(mid * (low + (high - low) * rng.random()) / tick_size)
     if price_ticks < 1:
         price_ticks = 1
+    lot_cost = price_ticks * lot_size
+    if account.free_lots < 1 and account.free_cash < lot_cost:
+        return None
+    if p_n <= 0:
+        p_n = mid
+    if p_c <= 0:
+        p_c = mid
+    p_hat = (profile.g_f * fundamental_now + profile.g_c * p_c
+             + profile.g_n * p_n) / profile.total
+    if p_hat < 1e-9:
+        p_hat = 1e-9
     pi = desired_holding(p_hat, price_ticks * tick_size, profile.alpha_i, var)
     delta = round(pi) - account.holdings
     if delta > 0:
-        size = account.free_cash // (price_ticks * lot_size)
+        size = account.free_cash // lot_cost
         if delta < size:
             size = delta
         return OrderIntent(BID, price_ticks, size) if size >= 1 else None

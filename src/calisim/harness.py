@@ -77,6 +77,18 @@ def load_config(path: Path | None) -> dict:
 # -- manifest ------------------------------------------------------------------------
 
 
+# The manifest goes through libyaml where PyYAML was built with it: a
+# calibrate stage reads it three times and writes it once, and the C
+# parser and emitter take a fraction of the pure-Python time for the same
+# dict and the same text. The artifacts that golden digests hash
+# (summary.yaml, benchmark.yaml, stream meta.yaml) keep yaml.safe_dump.
+_MANIFEST_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_MANIFEST_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+# the files of a saved benchmark, whose digests gen-benchmark records
+BENCHMARK_FILES = ("benchmark.yaml", "days.csv", "macro.csv")
+
+
 def _manifest_path(out_dir: Path) -> Path:
     return Path(out_dir) / "manifest.yaml"
 
@@ -86,14 +98,14 @@ def read_manifest(out_dir: Path) -> dict:
     if not p.exists():
         return {}
     with open(p) as f:
-        return yaml.safe_load(f) or {}
+        return yaml.load(f, Loader=_MANIFEST_LOADER) or {}
 
 
 def update_manifest(out_dir: Path, **entries):
     man = read_manifest(out_dir)
     man.update(entries)
     with open(_manifest_path(out_dir), "w") as f:
-        yaml.safe_dump(man, f, sort_keys=False)
+        yaml.dump(man, f, Dumper=_MANIFEST_DUMPER, sort_keys=False)
 
 
 # -- stages ----------------------------------------------------------------------------
@@ -103,16 +115,26 @@ def stage_gen_benchmark(cfg: dict, out_dir: Path, state_free: bool = False) -> B
     t0 = time.perf_counter()
     out_dir = Path(out_dir)
     bench = gen_benchmark(cfg["profile"], int(cfg["seed"]), state_free=state_free)
-    bench.save(out_dir / "benchmark")
-    update_manifest(out_dir, config=cfg, benchmark=str(out_dir / "benchmark"),
-                    state_free=state_free, benchmark_wall_s=time.perf_counter() - t0)
+    p = out_dir / "benchmark"
+    bench.save(p)
+    update_manifest(out_dir, config=cfg, benchmark=str(p), state_free=state_free,
+                    benchmark_sha256={name: file_sha256(p / name) for name in BENCHMARK_FILES},
+                    benchmark_wall_s=time.perf_counter() - t0)
     return bench
 
 
 def _load_benchmark(out_dir: Path) -> Benchmark:
+    """The run's saved benchmark, each file checked against the SHA-256
+    that gen-benchmark recorded in the manifest. A run without recorded
+    digests loads as it is."""
     p = Path(out_dir) / "benchmark"
     if not (p / "benchmark.yaml").exists():
         raise FileNotFoundError(f"missing benchmark at {p}; run gen-benchmark first")
+    want = read_manifest(out_dir).get("benchmark_sha256", {})
+    for name in BENCHMARK_FILES:
+        if name in want and file_sha256(p / name) != want[name]:
+            raise ValueError(f"{p / name}: SHA-256 differs from the one in "
+                             f"{_manifest_path(out_dir)}")
     return Benchmark.load(p)
 
 

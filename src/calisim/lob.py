@@ -30,7 +30,7 @@ class NoLiquidityError(RuntimeError):
     """Market order against an empty opposite side."""
 
 
-@dataclass
+@dataclass(slots=True)
 class LimitOrder:
     id: int
     agent: int
@@ -40,7 +40,7 @@ class LimitOrder:
     birth_slot: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TradeEvent:
     slot: int
     maker: int          # maker order id

@@ -8,6 +8,7 @@ seed.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -78,7 +79,7 @@ class FundamentalSeries:
         return float(self.values[k])
 
 
-@dataclass
+@dataclass(slots=True)
 class Event:
     slot: int
     seq: int
@@ -167,58 +168,61 @@ def run_day(cfg: SimConfig, b: BehaviorVector, fund: FundamentalSeries,
     next_order_id = 0
     seq = 0
 
-    n_agents = cfg.n_agents
+    n_agents, slots = cfg.n_agents, cfg.slots_per_day
     # a moving pointer walks the wake schedule and decodes each entry into
     # (slot, agent) by one divmod
     wakes = _wake_schedule(rng, cfg)
     ptr = 0
     wake_slot, a_idx = divmod(wakes[0], n_agents)
+    # bound once, after any wrapper (a tracer, a test's counter) is installed
+    make_order = ag.make_order
 
     n_hist = 0
     mid_cache = book.mid_price()  # valid until the next book operation
-    for slot in range(cfg.slots_per_day):
-        if slot % FUNDAMENTAL_INTERVAL_SLOTS == 0:
-            fund_now = fund.at_slot(slot)
-        if wake_slot == slot:
-            mid = mid_cache * tick_size
-            batch: list[tuple[_AgentState, list[int], LimitOrder | None]] = []
-            while wake_slot == slot:
-                st = states[a_idx]
-                profile = st.profile
-                cancels = _stale_orders(st, slot) if st.orders else []
-                minutes = profile.minutes
-                window = minutes if minutes < n_hist else n_hist
-                trend = trends.get(window)
-                if trend is None:
-                    trend = trends[window] = history.trend(window, var_floor, var_cap)
-                intercept, slope, k, var = trend
-                intent = ag.make_order(
-                    profile, st.account, mid=mid,
-                    p_c=intercept + slope * (k - 1 + minutes), var=var,
-                    fundamental_now=fund_now, sigma_noise=sigma_noise, band=band,
-                    tick_size=tick_size, lot_size=lot_size, rng=rng)
-                order = None
-                if intent is not None:
-                    order = LimitOrder(next_order_id, a_idx, *intent, slot)
-                    next_order_id += 1
-                batch.append((st, cancels, order))
-                ptr += 1
-                wake_slot, a_idx = divmod(wakes[ptr], n_agents)
-            if len(batch) > 1:  # one entry: nothing to do, nothing drawn
-                # the same swaps, from the same draws, as rng.permutation
-                rng.shuffle(batch)
-            touched = False
-            for st, cancels, order in batch:
-                for oid in cancels:
-                    seq = _apply_cancel(st, book, oid, slot, seq, stream, lot_size)
-                    touched = True
-                if order is not None:
-                    seq = _apply_place(states, book, order, slot, seq, stream, lot_size)
-                    touched = True
-            if touched:
-                mid_cache = book.mid_price()
-        mid_slot.append(mid_cache)
-        if (slot + 1) % SLOTS_PER_MINUTE == 0:
+    for minute_start in range(0, slots, SLOTS_PER_MINUTE):
+        # a fundamental interval is a whole number of minutes
+        fund_now = fund.at_slot(minute_start)
+        minute_end = minute_start + SLOTS_PER_MINUTE
+        for slot in range(minute_start, min(minute_end, slots)):
+            if wake_slot == slot:
+                mid = mid_cache * tick_size
+                batch: list[tuple[_AgentState, Sequence[int], LimitOrder | None]] = []
+                while wake_slot == slot:
+                    st = states[a_idx]
+                    profile = st.profile
+                    cancels = _stale_orders(st, slot) if st.orders else ()
+                    minutes = profile.minutes
+                    window = minutes if minutes < n_hist else n_hist
+                    trend = trends.get(window)
+                    if trend is None:
+                        trend = trends[window] = history.trend(window, var_floor, var_cap)
+                    intercept, slope, k, var = trend
+                    intent = make_order(profile, st.account, mid,
+                                        intercept + slope * (k - 1 + minutes), var,
+                                        fund_now, sigma_noise, band, tick_size,
+                                        lot_size, rng)
+                    order = None
+                    if intent is not None:
+                        order = LimitOrder(next_order_id, a_idx, *intent, slot)
+                        next_order_id += 1
+                    batch.append((st, cancels, order))
+                    ptr += 1
+                    wake_slot, a_idx = divmod(wakes[ptr], n_agents)
+                if len(batch) > 1:  # one entry: nothing to do, nothing drawn
+                    # the same swaps, from the same draws, as rng.permutation
+                    rng.shuffle(batch)
+                touched = False
+                for st, cancels, order in batch:
+                    for oid in cancels:
+                        seq = _apply_cancel(st, book, oid, slot, seq, stream, lot_size)
+                        touched = True
+                    if order is not None:
+                        seq = _apply_place(states, book, order, slot, seq, stream, lot_size)
+                        touched = True
+                if touched:
+                    mid_cache = book.mid_price()
+            mid_slot.append(mid_cache)
+        if minute_end <= slots:   # a trailing partial minute is not recorded
             history.append(mid_cache * tick_size)
             n_hist += 1
             trends.clear()

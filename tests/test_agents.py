@@ -339,6 +339,28 @@ def test_make_order_reservations_reduce_capacity():
     assert small is None or small.size < big.size
 
 
+def test_make_order_exhausted_account_makes_the_same_draws():
+    """An account with no free lot and less free cash than one lot at the
+    band's lowest price returns None early, but only after the wake's one
+    normal and one uniform draw: a funded account at the same seed consumes
+    exactly those draws, so the stream after the wake does not depend on
+    the early exit."""
+    lowest = round(100.0 * 0.95 / 0.01)   # ticks at the bottom of the band
+    exhausted = AgentAccount(cash=lowest - 1, holdings=5, reserved_lots=5)
+    funded = AgentAccount(cash=10 ** 9, holdings=100)
+    for seed in range(20):
+        twin = np.random.default_rng(seed)
+        twin.standard_normal()
+        twin.random()
+        for account, expect_none in ((exhausted, True), (funded, False)):
+            rng = np.random.default_rng(seed)
+            intent = ag.make_order(pure("f"), account, mid=100.0, p_c=0.0, var=1e-4,
+                                   fundamental_now=110.0, sigma_noise=1.0,
+                                   band=(0.95, 1.05), tick_size=0.01, lot_size=1, rng=rng)
+            assert (intent is None) == expect_none
+            assert rng.bit_generator.state == twin.bit_generator.state
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 7), st.integers(0, 1000),
        st.integers(0, 10 ** 6), st.integers(0, 500), st.integers(0, 2 ** 30))

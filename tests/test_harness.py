@@ -230,6 +230,28 @@ def test_checkpoint_without_recorded_digest_loads(pipeline, tmp_path):
     assert harness._load_surrogate(tmp_path) is not None
 
 
+@pytest.mark.parametrize("name", harness.BENCHMARK_FILES)
+def test_load_benchmark_rejects_corrupt_file(pipeline, tmp_path, name):
+    """A flipped byte in any benchmark file fails against the digest that
+    gen-benchmark recorded, and the error names the file."""
+    out, _, _ = pipeline
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    path = run / "benchmark" / name
+    data = bytearray(path.read_bytes())
+    data[-3] ^= 0x01
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match=f"{name}: SHA-256 differs"):
+        harness._load_benchmark(run)
+
+
+def test_benchmark_without_recorded_digests_loads(pipeline, tmp_path):
+    out, bench, _ = pipeline
+    shutil.copytree(out / "benchmark", tmp_path / "benchmark")
+    loaded = harness._load_benchmark(tmp_path)
+    assert [d.seed for d in loaded.days] == [d.seed for d in bench.days]
+
+
 def test_calibration_discovery(pipeline):
     out, bench, _ = pipeline
     days = [d.day for d in bench.test_days]
