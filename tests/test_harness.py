@@ -105,6 +105,18 @@ def test_manifest_roundtrip(tmp_path):
     assert read_manifest(tmp_path) == {"a": 1, "b": "x"}
 
 
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+def test_manifest_libyaml_matches_pure_python(pipeline):
+    """A host with libyaml and one without read the same dict from a full
+    pipeline's manifest and write it back as the same text."""
+    out, _, _ = pipeline
+    text = (out / "manifest.yaml").read_text()
+    fast, slow = yaml.load(text, Loader=yaml.CSafeLoader), yaml.load(text, Loader=yaml.SafeLoader)
+    assert fast == slow and "sim_calls" in fast
+    assert (yaml.dump(fast, Dumper=yaml.CSafeDumper, sort_keys=False)
+            == yaml.dump(slow, Dumper=yaml.SafeDumper, sort_keys=False) == text)
+
+
 # -- stage wiring -----------------------------------------------------------------
 
 

@@ -6,7 +6,7 @@ Exports each revision's committed files into its own temporary directory
 (removed at exit), so each side runs the benchmark from its own checkout.
 Then, for every workload:
 
-- runs `--pairs` pairs of
+- runs PAIRS (10) pairs of
   `python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`,
   with T the `run_seconds` of the change's BENCHMARK.json,
   one seed per pair (seed-base + 100 * workload index + pair + 1), the
@@ -17,10 +17,13 @@ Then, for every workload:
 
 It writes one JSON file with every raw run and, per workload and
 end-to-end metric, the pairs the change won (lower is better for all
-three), both sides' quartiles and the median change. A metric's verdict
-is "better" when the change wins at least 9 pairs in 10 and the medians
-differ by more than the parent's quartile spread, "worse" for the mirror
-image, and "unresolved" otherwise. Runs are sequential, one process at a
+three), both sides' quartiles, the median change and both sides' failed
+checks. A metric's verdict is "better" when the change wins at least 9
+pairs in 10 and the medians differ by more than the parent's quartile
+spread, "worse" for the mirror image, and "unresolved" otherwise; it is
+never "better" when a change run reports `correct: false` or the change's
+share of failed operations is above the parent's, and then the driver
+exits 1. Runs are sequential, one process at a
 time; on a shared 2-vCPU Xeon VM, 10 pairs of all three workloads with
 the digest checks took 18 minutes, and 10 pairs of train alone 7.
 """
@@ -43,6 +46,7 @@ REPO = Path(__file__).resolve().parent.parent
 WORKLOADS = ("dataset", "calibrate", "train")
 METRICS = ("ms_per_op", "setup_s", "peak_rss_mb")
 DIGEST_SEEDS = (1, 2, 424242)
+PAIRS = 10          # the fewest pairs with which a 9-in-10 verdict can be given
 SIDES = ("parent", "change")
 
 
@@ -79,7 +83,9 @@ def _quartiles(values: list[float]) -> list[float]:
 
 def summarize(pairs: list[dict]) -> dict:
     """Per `workload.metric`: pairs won by the change, both sides'
-    quartiles, the median change in percent and a verdict."""
+    quartiles, the median change in percent, both sides' failed and
+    attempted operations and a verdict, which is not "better" when the
+    change fails a check in any run or a larger share of operations."""
     out = {}
     for workload in WORKLOADS:
         runs = [r for r in pairs if r["workload"] == workload]
@@ -90,6 +96,11 @@ def summarize(pairs: list[dict]) -> dict:
             by_pair.setdefault(r["pair"], {})[r["side"]] = r
         digests_equal = all(p["parent"]["digest"] == p["change"]["digest"]
                             for p in by_pair.values())
+        failed = {side: [sum(p[side]["result"][key] for p in by_pair.values())
+                         for key in ("failed", "attempted")] for side in SIDES}
+        change_incorrect = sum(not p["change"]["result"]["correct"] for p in by_pair.values())
+        failing = (change_incorrect > 0 or failed["change"][0] / failed["change"][1]
+                   > failed["parent"][0] / failed["parent"][1])
         for metric in METRICS:
             val = {side: [p[side]["result"]["metrics"][metric]["value"]
                           for p in by_pair.values()] for side in SIDES}
@@ -98,7 +109,7 @@ def summarize(pairs: list[dict]) -> dict:
             pq, cq = _quartiles(val["parent"]), _quartiles(val["change"])
             spread = pq[2] - pq[0]
             shift = median(val["change"]) - median(val["parent"])
-            if wins >= 0.9 * n and -shift > spread:
+            if wins >= 0.9 * n and -shift > spread and not failing:
                 verdict = "better"
             elif wins <= 0.1 * n and shift > spread:
                 verdict = "worse"
@@ -112,6 +123,9 @@ def summarize(pairs: list[dict]) -> dict:
                 "median_change_pct": round(100.0 * shift / median(val["parent"]), 1),
                 "verdict": verdict,
                 "digests_equal": digests_equal,
+                "failed_of_attempted": failed,
+                "change_runs_incorrect": change_incorrect,
+                "change_fails_more": failing,
             }
     return out
 
@@ -142,15 +156,12 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True, type=Path, help="JSON file to write")
     ap.add_argument("--seed-base", type=int, required=True,
                     help="pair seeds are seed-base + 100 * workload index + pair + 1")
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     args = ap.parse_args(argv)
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2: quartiles need two runs a side")
 
     t0 = time.perf_counter()
     revs = {"parent": _git("rev-parse", args.parent), "change": _git("rev-parse", args.change)}
-    seeds = {w: [args.seed_base + 100 * WORKLOADS.index(w) + i + 1 for i in range(args.pairs)]
+    seeds = {w: [args.seed_base + 100 * WORKLOADS.index(w) + i + 1 for i in range(PAIRS)]
              for w in args.workloads}
     pairs, digest_runs = [], []
     with tempfile.TemporaryDirectory(prefix="bench_ab-") as tmp:
@@ -181,12 +192,14 @@ def main(argv=None) -> int:
         "parent": revs["parent"],
         "change": revs["change"],
         "machine": _machine(),
-        "protocol": (f"{args.pairs} pairs per workload, one seed per pair, the side run "
+        "protocol": (f"{PAIRS} pairs per workload, one seed per pair, the side run "
                      "first alternating (parent first on even pairs); "
                      f"--seconds {seconds} --trace 0; quartiles over the "
-                     f"{args.pairs} runs of each side; a pair is won when the change's "
+                     f"{PAIRS} runs of each side; a pair is won when the change's "
                      "value is lower; a verdict is better or worse only with at least "
-                     "9 of 10 pairs and a median shift beyond the parent's quartile spread"),
+                     f"{int(0.9 * PAIRS)} of {PAIRS} pairs and a median shift beyond the "
+                     "parent's quartile spread, and never better when a change run "
+                     "fails a check or the change fails a larger share of operations"),
         "seeds": {**seeds, "digest_check": list(DIGEST_SEEDS)},
         "digest_check": {
             "command": "python3 perfbench/run.py --workload W --seed S --seconds 1 --trace 0",
@@ -199,9 +212,10 @@ def main(argv=None) -> int:
         "pairs": pairs,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
-    print(f"wrote {args.out} in {report['wall_s']:.0f} s; digests equal: {digests_equal}",
-          file=sys.stderr)
-    return 0 if digests_equal else 1
+    failing = any(s["change_fails_more"] for s in report["summary"].values())
+    print(f"wrote {args.out} in {report['wall_s']:.0f} s; digests equal: {digests_equal}; "
+          f"change fails more checks: {failing}", file=sys.stderr)
+    return 0 if digests_equal and not failing else 1
 
 
 if __name__ == "__main__":
