@@ -23,9 +23,9 @@ pairs in 10 and the medians differ by more than the parent's quartile
 spread, "worse" for the mirror image, and "unresolved" otherwise; it is
 never "better" when a change run reports `correct: false` or the change's
 share of failed operations is above the parent's, and then the driver
-exits 1. Runs are sequential, one process at a
-time; on a shared 2-vCPU Xeon VM, 10 pairs of all three workloads with
-the digest checks took 18 minutes, and 10 pairs of train alone 7.
+exits 1. Runs are sequential, one process at a time; on a shared 2-vCPU
+Xeon VM, 10 pairs of all three workloads with the digest checks took 18
+minutes, 10 pairs of calibrate alone 6 and of train alone 7.
 """
 
 from __future__ import annotations
