@@ -149,20 +149,18 @@ class MinuteHistory:
     OLS lines and variances."""
 
     def __init__(self):
-        self.values: list[float] = []
-        self._s0 = [0.0]   # cumulative sum of y
+        self._s0 = [0.0]   # cumulative sum of y, so one entry more than points
         self._s1 = [0.0]   # cumulative sum of i*y
         self._s2 = [0.0]   # cumulative sum of y*y
 
     def append(self, y: float):
-        i = len(self.values)
-        self.values.append(y)
+        i = len(self)
         self._s0.append(self._s0[-1] + y)
         self._s1.append(self._s1[-1] + i * y)
         self._s2.append(self._s2[-1] + y * y)
 
     def __len__(self):
-        return len(self.values)
+        return len(self._s0) - 1
 
     def trend(self, window: int, var_floor: float, var_cap: float,
               ) -> tuple[float, float, int, float]:
@@ -179,8 +177,8 @@ class MinuteHistory:
         feedback crashes the market. Both depend on `window` only through
         min(window, n).
         """
-        n = len(self.values)
         s0, s1, s2 = self._s0, self._s1, self._s2
+        n = len(s0) - 1
         intercept, slope, k = 0.0, 0.0, 1
         if n >= 2:
             k = min(max(2, window), n)

@@ -48,8 +48,7 @@ def _parser() -> argparse.ArgumentParser:
                    help="checkpoint suffix (e.g. _ws0 for the ablation arm)")
 
     c = subs.add_parser("calibrate", help="calibrate every test day")
-    c.add_argument("--method", choices=["calisim", "randsearch", "bayesopt"],
-                   required=True)
+    c.add_argument("--method", choices=harness.METHODS, required=True)
     c.add_argument("--seed", type=int, default=0, help="search seed (baselines)")
     c.add_argument("--tag", type=str, default="",
                    help="calibrator checkpoint suffix (calisim only)")

@@ -19,7 +19,7 @@ from . import features as feat
 from . import metamarket as mm
 from . import surrogate as sur
 from .agents import BEHAVIOR_NAMES, BehaviorVector
-from .benchmark import Benchmark, gen_benchmark
+from .benchmark import PROFILES, Benchmark, gen_benchmark
 from .marketstate import N_STATE, STATE_NAMES
 from .tables import file_sha256, write_table
 
@@ -48,6 +48,20 @@ DEFAULT_CONFIG = {
 }
 
 
+def _convert(field: str, default, val):
+    """`val` converted to the type of the field's default, a list of ints
+    where the default is a list; ConfigError naming the field otherwise."""
+    try:
+        if isinstance(default, list):
+            if isinstance(val, str):
+                raise TypeError
+            return [int(v) for v in val]
+        return type(default)(val)
+    except (TypeError, ValueError):
+        kind = "a list of int" if isinstance(default, list) else type(default).__name__
+        raise ConfigError(f"config field {field}: expected {kind}, got {val!r}") from None
+
+
 def load_config(path: Path | None) -> dict:
     cfg = {k: (dict(v) if isinstance(v, dict) else v) for k, v in DEFAULT_CONFIG.items()}
     if path is not None:
@@ -64,12 +78,12 @@ def load_config(path: Path | None) -> dict:
                 for sub, sv in val.items():
                     if sub not in cfg[key]:
                         raise ConfigError(f"config field {key}.{sub}: unknown")
-                    cfg[key][sub] = sv
+                    cfg[key][sub] = _convert(f"{key}.{sub}", cfg[key][sub], sv)
             else:
-                cfg[key] = val
-    if cfg["profile"] not in ("ci", "full"):
-        raise ConfigError(f"config field profile: {cfg['profile']!r} not in (ci, full)")
-    if int(cfg["baselines"]["trials"]) < 1:
+                cfg[key] = _convert(key, cfg[key], val)
+    if cfg["profile"] not in PROFILES:
+        raise ConfigError(f"config field profile: {cfg['profile']!r} not in {tuple(PROFILES)}")
+    if cfg["baselines"]["trials"] < 1:
         raise ConfigError("config field baselines.trials: must be >= 1")
     return cfg
 
@@ -268,25 +282,23 @@ def calibrate_baseline(bench: Benchmark, method: str, net: sur.SurrogateNet,
 def stage_calibrate(cfg: dict, out_dir: Path, method: str, seed: int = 0,
                     metamarket_tag: str = "", bench: Benchmark | None = None,
                     ) -> Path:
+    if method not in METHODS:
+        raise ConfigError(f"config field method: unknown method {method!r}")
     t0 = time.perf_counter()
     out_dir = Path(out_dir)
     bench = bench or _load_benchmark(out_dir)
     if method == "calisim":
         rows = calibrate_calisim(bench, _load_metamarket(out_dir, metamarket_tag))
         calls = 0
-        source = "calisim" + metamarket_tag
-        path = out_dir / f"calibration_{source}.csv"
-    elif method in ("randsearch", "bayesopt"):
+        source = key = "calisim" + metamarket_tag
+    else:
         rows, calls = calibrate_baseline(bench, method, _load_surrogate(out_dir),
                                          trials=int(cfg["baselines"]["trials"]), seed=seed)
-        source = method
-        path = out_dir / f"calibration_{source}_seed{seed}.csv"
-    else:
-        raise ConfigError(f"config field method: unknown method {method!r}")
+        source, key = method, f"{method}_seed{seed}"
+    path = out_dir / f"calibration_{key}.csv"
     mm.write_calibration(path, [(day, b, source) for day, b in rows])
     man = read_manifest(out_dir)
     counters = man.get("sim_calls", {})
-    key = path.stem.removeprefix("calibration_")
     counters[key] = {"total": calls, "days": len(rows),
                      "per_day": calls / max(len(rows), 1)}
     update_manifest(out_dir, sim_calls=counters,
@@ -299,7 +311,6 @@ def stage_calibrate(cfg: dict, out_dir: Path, method: str, seed: int = 0,
 
 @dataclass
 class MethodEval:
-    source: str
     recon: np.ndarray        # flat over (day, search seed, eval seed)
     variation: np.ndarray    # consecutive-day steps, per search seed
     recovery: np.ndarray     # ||b_hat - b*||^2 per (day, search seed)
@@ -329,9 +340,8 @@ def _collect_calibrations(out_dir: Path, source: str,
     return out
 
 
-def _eval_method(bench: Benchmark, source: str,
-                 cals: list[dict[int, BehaviorVector]], net: sur.SurrogateNet,
-                 eval_seeds: list[int]) -> MethodEval:
+def _eval_method(bench: Benchmark, cals: list[dict[int, BehaviorVector]],
+                 net: sur.SurrogateNet, eval_seeds: list[int]) -> MethodEval:
     days = bench.test_days
     recon, variation, recovery = [], [], []
     corr_stack, calls = [], 0
@@ -354,7 +364,7 @@ def _eval_method(bench: Benchmark, source: str,
                 else:
                     corr[i, j] = abs(np.corrcoef(si, bj)[0, 1])
         corr_stack.append(corr)
-    return MethodEval(source, np.array(recon), np.array(variation),
+    return MethodEval(np.array(recon), np.array(variation),
                       np.array(recovery), np.mean(corr_stack, axis=0), calls)
 
 
@@ -380,7 +390,7 @@ def stage_evaluate(cfg: dict, out_dir: Path, bench: Benchmark | None = None) -> 
         raise FileNotFoundError(
             f"no calibration outputs found in {out_dir}; run calibrate first "
             f"(missing: {', '.join(missing)})")
-    evals = {source: _eval_method(bench, source, c, net, eval_seeds)
+    evals = {source: _eval_method(bench, c, net, eval_seeds)
              for source, c in cals.items() if c}
 
     report_dir = out_dir / "evaluation"

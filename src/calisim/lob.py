@@ -42,7 +42,6 @@ class LimitOrder:
 
 @dataclass(slots=True)
 class TradeEvent:
-    slot: int
     maker: int          # maker order id
     taker: int          # taker order id
     price: int          # ticks; always the maker's resting price
@@ -106,7 +105,7 @@ class Book:
         if order.size < 1 or order.price < 1:
             raise ValueError("limit order needs size >= 1 and price >= 1 tick")
         self._seen.add(order.id)
-        trades = self._match(order, order.birth_slot)
+        trades = self._match(order)
         if order.size > 0:
             self._rest(order)
         return trades
@@ -121,7 +120,7 @@ class Book:
             raise DuplicateOrderError(f"order id {order_id} already used")
         self._seen.add(order_id)
         order = LimitOrder(order_id, agent, side, best, size, slot)
-        return self._match(order, slot)
+        return self._match(order)
 
     def cancel(self, order_id: int) -> bool:
         order = self._resting.pop(order_id, None)
@@ -138,7 +137,7 @@ class Book:
     def _crosses(self, order: LimitOrder, best: int) -> bool:
         return order.price >= best if order.side is BID else order.price <= best
 
-    def _match(self, order: LimitOrder, slot: int) -> list[TradeEvent]:
+    def _match(self, order: LimitOrder) -> list[TradeEvent]:
         trades: list[TradeEvent] = []
         opp = ASK if order.side is BID else BID
         levels = self._levels[opp]
@@ -152,7 +151,7 @@ class Book:
                 fill = min(maker.size, order.size)
                 maker.size -= fill
                 order.size -= fill
-                trades.append(TradeEvent(slot, maker.id, order.id, best, fill,
+                trades.append(TradeEvent(maker.id, order.id, best, fill,
                                          maker.agent, order.agent))
                 self.last_trade_price = best
                 if maker.size == 0:

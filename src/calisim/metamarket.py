@@ -53,8 +53,7 @@ class MetaMarket:
     """The calibrator K = (implicit extractor p_theta1, state analyzer g_omega)."""
 
     def __init__(self, fund_dim: int, rng: np.random.Generator,
-                 feat_norm: FeatureNormalizer | None = None,
-                 state_norm: FeatureNormalizer | None = None):
+                 feat_norm: FeatureNormalizer, state_norm: FeatureNormalizer):
         self.fund_dim = fund_dim
         self.extractor = nn.StackedLSTM(N_FEATURES, HIDDEN, 2, rng, "mm.lstm")
         self.a1 = nn.Affine(N_STATE, 200, rng, "mm.a1")
@@ -132,20 +131,16 @@ class MetaMarket:
     def save(self, path: Path):
         tensors = dict(nn.named_params(self.params()))
         tensors["mm.fund_dim"] = np.array([self.fund_dim], dtype=float)
-        if self.feat_norm is not None:
-            tensors.update(self.feat_norm.as_tensors("mm.feat_norm"))
-        if self.state_norm is not None:
-            tensors.update(self.state_norm.as_tensors("mm.state_norm"))
+        tensors.update(self.feat_norm.as_tensors("mm.feat_norm"))
+        tensors.update(self.state_norm.as_tensors("mm.state_norm"))
         ad.save_tensors(path, tensors)
 
     @staticmethod
     def load(path: Path) -> "MetaMarket":
         tensors = ad.load_tensors(path)
-        fn = (FeatureNormalizer.from_tensors(tensors, "mm.feat_norm")
-              if "mm.feat_norm.mean" in tensors else None)
-        sn = (FeatureNormalizer.from_tensors(tensors, "mm.state_norm")
-              if "mm.state_norm.mean" in tensors else None)
-        k = MetaMarket(int(tensors["mm.fund_dim"][0]), np.random.default_rng(0), fn, sn)
+        k = MetaMarket(int(tensors["mm.fund_dim"][0]), np.random.default_rng(0),
+                       FeatureNormalizer.from_tensors(tensors, "mm.feat_norm"),
+                       FeatureNormalizer.from_tensors(tensors, "mm.state_norm"))
         nn.load_into(k.params(), tensors)
         return k
 

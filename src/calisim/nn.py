@@ -12,9 +12,9 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 
-def glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape=None) -> np.ndarray:
+def glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     lim = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-lim, lim, size=shape if shape is not None else (fan_in, fan_out))
+    return rng.uniform(-lim, lim, size=(fan_in, fan_out))
 
 
 class Affine:
@@ -38,8 +38,8 @@ class LSTMCell:
     """
 
     def __init__(self, n_in: int, n_hidden: int, rng: np.random.Generator, name: str):
-        self.W = ad.parameter(glorot(rng, n_in, 4 * n_hidden, (n_in, 4 * n_hidden)), f"{name}.W")
-        self.U = ad.parameter(glorot(rng, n_hidden, 4 * n_hidden, (n_hidden, 4 * n_hidden)), f"{name}.U")
+        self.W = ad.parameter(glorot(rng, n_in, 4 * n_hidden), f"{name}.W")
+        self.U = ad.parameter(glorot(rng, n_hidden, 4 * n_hidden), f"{name}.U")
         bias = np.zeros(4 * n_hidden)
         bias[n_hidden:2 * n_hidden] = 1.0
         self.b = ad.parameter(bias, f"{name}.b")

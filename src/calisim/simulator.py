@@ -53,10 +53,6 @@ class SimConfig:
             raise ValueError(f"lambda_band must be in [0, 1), got {self.lambda_band}")
 
     @property
-    def open_price_ticks(self) -> int:
-        return max(1, round(self.open_price / self.tick_size))
-
-    @property
     def fundamental_len(self) -> int:
         return self.slots_per_day // FUNDAMENTAL_INTERVAL_SLOTS
 
@@ -148,16 +144,16 @@ def run_day(cfg: SimConfig, b: BehaviorVector, fund: FundamentalSeries,
         raise ValueError(
             f"fundamental length {len(fund.values)} != expected {cfg.fundamental_len}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5D]))
-
-    profiles, accounts = ag.build_population(
-        b, cfg.n_agents, cfg.alpha_ref, cfg.open_price_ticks, rng)
-    states = [_AgentState(p, a) for p, a in zip(profiles, accounts)]
-
-    book = Book(cfg.open_price_ticks)
-    history = MinuteHistory()
-    trends: dict[int, tuple[float, float, int, float]] = {}  # by effective window
     stream = OrderStream(cfg.open_price, cfg.tick_size, cfg.lot_size,
                          cfg.slots_per_day, seed)
+
+    profiles, accounts = ag.build_population(
+        b, cfg.n_agents, cfg.alpha_ref, stream.open_price_ticks, rng)
+    states = [_AgentState(p, a) for p, a in zip(profiles, accounts)]
+
+    book = Book(stream.open_price_ticks)
+    history = MinuteHistory()
+    trends: dict[int, tuple[float, float, int, float]] = {}  # by effective window
     mid_slot: list[float] = []
 
     tick_size, lot_size = cfg.tick_size, cfg.lot_size

@@ -39,7 +39,7 @@ class SurrogateNet:
     ReLU trunk with a linear head in z-scored feature space."""
 
     def __init__(self, fund_dim: int, rng: np.random.Generator,
-                 norm: FeatureNormalizer | None = None):
+                 norm: FeatureNormalizer):
         self.fund_dim = fund_dim
         self.f1 = nn.Affine(fund_dim, 50, rng, "sur.f1")
         self.f2 = nn.Affine(50, FUND_EMBED, rng, "sur.f2")
@@ -69,10 +69,7 @@ class SurrogateNet:
     # -- persistence -------------------------------------------------------
 
     def save(self, path: Path):
-        tensors = nn.named_params(self.params())
-        if self.norm is None:
-            raise ValueError("cannot checkpoint a surrogate without its normalizer")
-        tensors = dict(tensors)
+        tensors = dict(nn.named_params(self.params()))
         tensors.update(self.norm.as_tensors("sur.norm"))
         tensors["sur.fund_dim"] = np.array([self.fund_dim], dtype=float)
         ad.save_tensors(path, tensors)

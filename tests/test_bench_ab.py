@@ -10,6 +10,8 @@ _spec = importlib.util.spec_from_file_location(
 bench_ab = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_ab)
 
+BOUNDS = {"ms_per_op": 0.25, "setup_s": 0.25, "peak_rss_mb": 0.1}
+
 
 def _run(pair, side, ms, failed=0):
     metrics = {"ms_per_op": ms, "setup_s": 1.0, "peak_rss_mb": 50.0}
@@ -18,25 +20,36 @@ def _run(pair, side, ms, failed=0):
                        "metrics": {k: {"value": v} for k, v in metrics.items()}}}
 
 
-def _pairs(change_failed_in_pair=None):
+def _pairs(change_failed_in_pair=None, change_ms=24.0):
     runs = []
     for i in range(bench_ab.PAIRS):
         runs.append(_run(i, "parent", 27.0 + 0.1 * i))
-        runs.append(_run(i, "change", 24.0 + 0.1 * i,
+        runs.append(_run(i, "change", change_ms + 0.1 * i,
                          failed=int(i == change_failed_in_pair)))
     return runs
 
 
 def test_clean_winning_change_is_better():
-    s = bench_ab.summarize(_pairs())["dataset.ms_per_op"]
+    s = bench_ab.summarize(_pairs(), BOUNDS)["dataset.ms_per_op"]
     assert (s["change_wins"], s["verdict"], s["change_fails_more"]) == (10, "better", False)
+    assert (s["bound_pct"], s["within_bound"]) == (25.0, True)
     assert s["failed_of_attempted"] == {"parent": [0, 1000], "change": [0, 1000]}
 
 
 @pytest.mark.parametrize("pair", [0, 9])
 def test_change_that_fails_a_check_is_never_better(pair):
-    s = bench_ab.summarize(_pairs(change_failed_in_pair=pair))["dataset.ms_per_op"]
+    s = bench_ab.summarize(_pairs(change_failed_in_pair=pair), BOUNDS)["dataset.ms_per_op"]
     assert s["change_wins"] == 10
     assert (s["verdict"], s["change_runs_incorrect"], s["change_fails_more"]) == (
         "unresolved", 1, True)
     assert s["failed_of_attempted"]["change"] == [1, 1000]
+
+
+def test_change_beyond_its_bound_is_flagged():
+    """30% slower in the median, one pair of ten won: past the 25% bound."""
+    runs = _pairs(change_ms=27.0 * 1.3)
+    runs[1]["result"]["metrics"]["ms_per_op"]["value"] = 26.0   # the change wins pair 0
+    s = bench_ab.summarize(runs, BOUNDS)["dataset.ms_per_op"]
+    assert (s["change_wins"], s["verdict"]) == (1, "worse")
+    assert s["median_change_pct"] > 25.0
+    assert (s["bound_pct"], s["within_bound"]) == (25.0, False)

@@ -66,12 +66,15 @@ def test_load_config_defaults():
 
 
 def test_load_config_partial_override(tmp_path):
+    """Any profile registered in benchmark.PROFILES loads (`tiny` is, by
+    the module fixture), and a leaf takes its default's type: PyYAML reads
+    1e-3, with no dot in the mantissa, as a string."""
     p = tmp_path / "cfg.yaml"
-    p.write_text("seed: 7\nsurrogate:\n  epochs: 5\n")
+    p.write_text("profile: tiny\nseed: 7\nsurrogate:\n  epochs: 5\n  lr: 1e-3\n")
     cfg = load_config(p)
-    assert cfg["seed"] == 7
-    assert cfg["surrogate"]["epochs"] == 5
-    assert cfg["surrogate"]["lr"] == harness.DEFAULT_CONFIG["surrogate"]["lr"]
+    assert (cfg["profile"], cfg["seed"]) == ("tiny", 7)
+    assert (cfg["surrogate"]["epochs"], cfg["surrogate"]["lr"]) == (5, 0.001)
+    assert cfg["surrogate"]["batch_size"] == harness.DEFAULT_CONFIG["surrogate"]["batch_size"]
 
 
 @pytest.mark.parametrize("text, field", [
@@ -80,6 +83,8 @@ def test_load_config_partial_override(tmp_path):
     ("profile: nope\n", "profile"),
     ("baselines:\n  trials: 0\n", "baselines.trials"),
     ("surrogate: 3\n", "surrogate"),
+    ("evaluate:\n  eval_seeds: 3\n", "evaluate.eval_seeds"),
+    ("seed: abc\n", "seed"),
 ])
 def test_load_config_rejects_unknown_fields(tmp_path, text, field):
     p = tmp_path / "cfg.yaml"
@@ -388,6 +393,7 @@ def test_hypothesize_stage(pipeline):
 def test_cli_unknown_command_exits_2(tmp_path, capsys):
     assert main(["--out", str(tmp_path), "frobnicate"]) == 2
     assert main(["--out", str(tmp_path)]) == 2  # missing subcommand
+    assert main(["--out", str(tmp_path), "calibrate", "--method", "nope"]) == 2
 
 
 def test_cli_missing_input_exits_1(tmp_path, capsys):

@@ -93,21 +93,21 @@ def test_run_day_rejects_wrong_fundamental_length():
 
 def test_settle_buy_arithmetic():
     account = AgentAccount(cash=1000, holdings=0)
-    trade = TradeEvent(0, 1, 2, price=100, size=2)
+    trade = TradeEvent(1, 2, price=100, size=2)
     settle(account, trade, Side.BID, lot_size=1)
     assert account.cash == 800 and account.holdings == 2
 
 
 def test_settle_sell_entire_holding():
     account = AgentAccount(cash=0, holdings=3)
-    settle(account, TradeEvent(0, 1, 2, price=50, size=3), Side.ASK, lot_size=1)
+    settle(account, TradeEvent(1, 2, price=50, size=3), Side.ASK, lot_size=1)
     assert account.holdings == 0 and account.cash == 150
 
 
 def test_settle_asserts_on_overdraft():
     account = AgentAccount(cash=100, holdings=0)
     with pytest.raises(AssertionError):
-        settle(account, TradeEvent(0, 1, 2, price=100, size=2), Side.BID, 1)
+        settle(account, TradeEvent(1, 2, price=100, size=2), Side.BID, 1)
 
 
 # -- run_day properties ------------------------------------------------------------
@@ -209,12 +209,12 @@ def test_conservation_of_cash_and_holdings():
     cfg = SimConfig(slots_per_day=1200, n_agents=50)
     b = B_MID
     seed = 7
+    stream = run_day(cfg, b, flat_fund(cfg), seed=seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5D]))
     _, accounts = ag.build_population(b, cfg.n_agents, cfg.alpha_ref,
-                                      cfg.open_price_ticks, rng)
+                                      stream.open_price_ticks, rng)
     cash0 = sum(a.cash for a in accounts)
     hold0 = sum(a.holdings for a in accounts)
-    stream = run_day(cfg, b, flat_fund(cfg), seed=seed)
     # each TRADE moves price*size cash and size lots between two agents;
     # without one the replayed settlement below would check nothing
     assert any(e.kind == "TRADE" for e in stream.events)

@@ -105,12 +105,6 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(back.predict(b, f), net.predict(b, f))
 
 
-def test_save_requires_normalizer(tmp_path):
-    net = SurrogateNet(FUND_DIM, np.random.default_rng(0), None)
-    with pytest.raises(ValueError, match="normalizer"):
-        net.save(tmp_path / "x.ck")
-
-
 # -- dataset construction -----------------------------------------------------------
 
 

@@ -16,14 +16,17 @@ Then, for every workload:
   does not change it).
 
 It writes one JSON file with every raw run and, per workload and
-end-to-end metric, the pairs the change won (lower is better for all
-three), both sides' quartiles, the median change and both sides' failed
-checks. A metric's verdict is "better" when the change wins at least 9
+end-to-end metric of the change's BENCHMARK.json, the pairs the change
+won (lower is better for all three), both sides' quartiles, the median
+change, both sides' failed checks and whether the change's median is
+within the metric's `bound` (a fraction of the parent's median) above
+the parent's. A metric's verdict is "better" when the change wins at least 9
 pairs in 10 and the medians differ by more than the parent's quartile
 spread, "worse" for the mirror image, and "unresolved" otherwise; it is
 never "better" when a change run reports `correct: false` or the change's
 share of failed operations is above the parent's, and then the driver
-exits 1. Runs are sequential, one process at a time; on a shared 2-vCPU
+exits 1. It also exits 1 when a digest differs or a metric is not within
+its bound. Runs are sequential, one process at a time; on a shared 2-vCPU
 Xeon VM, 10 pairs of all three workloads with the digest checks took 18
 minutes, 10 pairs of calibrate alone 6 and of train alone 7.
 """
@@ -44,7 +47,6 @@ from statistics import median, quantiles
 
 REPO = Path(__file__).resolve().parent.parent
 WORKLOADS = ("dataset", "calibrate", "train")
-METRICS = ("ms_per_op", "setup_s", "peak_rss_mb")
 DIGEST_SEEDS = (1, 2, 424242)
 PAIRS = 10          # the fewest pairs with which a 9-in-10 verdict can be given
 SIDES = ("parent", "change")
@@ -81,9 +83,10 @@ def _quartiles(values: list[float]) -> list[float]:
     return [round(q25, 3), round(q50, 3), round(q75, 3)]
 
 
-def summarize(pairs: list[dict]) -> dict:
-    """Per `workload.metric`: pairs won by the change, both sides'
-    quartiles, the median change in percent, both sides' failed and
+def summarize(pairs: list[dict], bounds: dict[str, float]) -> dict:
+    """Per `workload.metric`, for each metric named in `bounds`: pairs won
+    by the change, both sides' quartiles, the median change in percent,
+    whether it is within the metric's bound, both sides' failed and
     attempted operations and a verdict, which is not "better" when the
     change fails a check in any run or a larger share of operations."""
     out = {}
@@ -101,14 +104,15 @@ def summarize(pairs: list[dict]) -> dict:
         change_incorrect = sum(not p["change"]["result"]["correct"] for p in by_pair.values())
         failing = (change_incorrect > 0 or failed["change"][0] / failed["change"][1]
                    > failed["parent"][0] / failed["parent"][1])
-        for metric in METRICS:
+        for metric, bound in bounds.items():
             val = {side: [p[side]["result"]["metrics"][metric]["value"]
                           for p in by_pair.values()] for side in SIDES}
             n = len(by_pair)
             wins = sum(c < p for p, c in zip(val["parent"], val["change"]))
             pq, cq = _quartiles(val["parent"]), _quartiles(val["change"])
             spread = pq[2] - pq[0]
-            shift = median(val["change"]) - median(val["parent"])
+            base = median(val["parent"])
+            shift = median(val["change"]) - base
             if wins >= 0.9 * n and -shift > spread and not failing:
                 verdict = "better"
             elif wins <= 0.1 * n and shift > spread:
@@ -120,7 +124,9 @@ def summarize(pairs: list[dict]) -> dict:
                 "change_wins": wins,
                 "parent_q25_median_q75": pq,
                 "change_q25_median_q75": cq,
-                "median_change_pct": round(100.0 * shift / median(val["parent"]), 1),
+                "median_change_pct": round(100.0 * shift / base, 1),
+                "bound_pct": round(100.0 * bound, 1),
+                "within_bound": shift <= bound * base,
                 "verdict": verdict,
                 "digests_equal": digests_equal,
                 "failed_of_attempted": failed,
@@ -168,7 +174,9 @@ def main(argv=None) -> int:
         checkouts = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
             _export(revs[side], checkouts[side])
-        seconds = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())["run_seconds"]
+        spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+        seconds = spec["run_seconds"]
+        bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
         for workload in args.workloads:
             for i, seed in enumerate(seeds[workload]):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -207,15 +215,17 @@ def main(argv=None) -> int:
             "runs": digest_runs,
             "all_equal": digests_equal,
         },
-        "summary": summarize(pairs),
+        "summary": summarize(pairs, bounds),
         "wall_s": round(time.perf_counter() - t0, 1),
         "pairs": pairs,
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     failing = any(s["change_fails_more"] for s in report["summary"].values())
+    beyond = [k for k, s in report["summary"].items() if not s["within_bound"]]
     print(f"wrote {args.out} in {report['wall_s']:.0f} s; digests equal: {digests_equal}; "
-          f"change fails more checks: {failing}", file=sys.stderr)
-    return 0 if digests_equal and not failing else 1
+          f"change fails more checks: {failing}; beyond bound: {', '.join(beyond) or 'none'}",
+          file=sys.stderr)
+    return 0 if digests_equal and not failing and not beyond else 1
 
 
 if __name__ == "__main__":
