@@ -66,12 +66,10 @@ class Tensor:
         return float(self.data)
 
     # -- graph plumbing --------------------------------------------------------
-    def backward(self, seed: np.ndarray | None = None):
-        """Accumulate gradients of this (scalar) tensor into every parameter."""
-        if seed is None:
-            if self.data.size != 1:
-                raise ValueError("backward() without seed requires a scalar tensor")
-            seed = np.ones_like(self.data)
+    def backward(self):
+        """Accumulate gradients of this scalar tensor into every parameter."""
+        if self.data.size != 1:
+            raise ValueError("backward() requires a scalar tensor")
         # Tensors hash by identity, so they key the sets and dicts directly
         topo: list[Tensor] = []
         seen: set[Tensor] = set()
@@ -88,7 +86,7 @@ class Tensor:
             for p in node._parents:
                 if p not in seen:
                     stack.append((p, False))
-        grads: dict[Tensor, np.ndarray] = {self: np.asarray(seed, dtype=np.float64)}
+        grads: dict[Tensor, np.ndarray] = {self: np.ones_like(self.data)}
         for node in reversed(topo):
             g = grads.pop(node, None)
             if g is None:
@@ -200,34 +198,32 @@ def square(a) -> Tensor:
     return _make(a.data * a.data, (a,), lambda g: (g * 2.0 * a.data,))
 
 
-def vsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def vsum(a, axis=None) -> Tensor:
     a = as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
 
     def back(g):
         g = np.asarray(g)
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.data.shape),)
 
-    return _make(out, (a,), back)
+    return _make(a.data.sum(axis=axis), (a,), back)
 
 
-def mean(a, axis=None, keepdims: bool = False) -> Tensor:
+def mean(a) -> Tensor:
     a = as_tensor(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(vsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    return mul(vsum(a), 1.0 / a.data.size)
 
 
-def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
+def concat(parts: Sequence[Tensor]) -> Tensor:
+    """`parts` joined along their last axis."""
     parts = [as_tensor(p) for p in parts]
-    sizes = [p.data.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
+    splits = np.cumsum([p.data.shape[-1] for p in parts])[:-1]
 
     def back(g):
-        return tuple(np.split(g, splits, axis=axis))
+        return tuple(np.split(g, splits, axis=-1))
 
-    return _make(np.concatenate([p.data for p in parts], axis=axis), tuple(parts), back)
+    return _make(np.concatenate([p.data for p in parts], axis=-1), tuple(parts), back)
 
 
 def _is_basic_index(idx) -> bool:
@@ -358,6 +354,10 @@ def lstm_hidden(gates: Tensor, c: Tensor) -> Tensor:
 # steps in a row were skipped on non-finite gradients.
 MAX_SKIPPED_IN_ROW = 10
 
+# decay rates of Adam's first and second moment estimates
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+
 
 class SkippedSteps:
     """Counts the steps a training loop's Adam skipped (`Adam.step` returned
@@ -388,12 +388,9 @@ class Adam:
     and reported via the return value.
     """
 
-    def __init__(self, params: Iterable[Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: Iterable[Tensor], lr: float = 1e-3, eps: float = 1e-8):
         self.params = [p for p in params if p.requires_grad]
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
         self.eps = eps
         self.t = 0
         # the moments of all parameters, flat and in parameter order
@@ -411,13 +408,13 @@ class Adam:
         if not np.all(np.isfinite(g)):
             return False
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - ADAM_BETA1 ** self.t
+        c2 = 1.0 - ADAM_BETA2 ** self.t
         m, v = self.m, self.v
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * g * g
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
         upd = self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
         for p, sl in zip(self.params, self.slices):
             p.data -= upd[sl].reshape(p.data.shape)

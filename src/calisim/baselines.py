@@ -68,7 +68,6 @@ class GPModel:
     """Zero-mean GP with a squared-exponential kernel on [0,1]^5."""
 
     x: np.ndarray          # (n, 5)
-    y: np.ndarray          # (n,) centered scores
     y_mean: float
     length: float
     signal: float
@@ -102,7 +101,7 @@ class GPModel:
         if best[1] is None:
             raise np.linalg.LinAlgError("GP kernel not positive definite at any length scale")
         _, length, chol, alpha = best
-        return GPModel(x, yc, y_mean, float(length), signal, chol, alpha)
+        return GPModel(x, y_mean, float(length), signal, chol, alpha)
 
     def posterior(self, xq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Mean and variance at query points (n_q, 5)."""

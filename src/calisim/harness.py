@@ -48,6 +48,13 @@ DEFAULT_CONFIG = {
 }
 
 
+def _as_int(val) -> int:
+    """`int(val)`, refusing a bool and a number that int() would truncate."""
+    if isinstance(val, bool) or (not isinstance(val, str) and int(val) != val):
+        raise ValueError
+    return int(val)
+
+
 def _convert(field: str, default, val):
     """`val` converted to the type of the field's default, a list of ints
     where the default is a list; ConfigError naming the field otherwise."""
@@ -55,9 +62,11 @@ def _convert(field: str, default, val):
         if isinstance(default, list):
             if isinstance(val, str):
                 raise TypeError
-            return [int(v) for v in val]
+            return [_as_int(v) for v in val]
+        if isinstance(default, int):
+            return _as_int(val)
         return type(default)(val)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         kind = "a list of int" if isinstance(default, list) else type(default).__name__
         raise ConfigError(f"config field {field}: expected {kind}, got {val!r}") from None
 
@@ -128,7 +137,7 @@ def update_manifest(out_dir: Path, **entries):
 def stage_gen_benchmark(cfg: dict, out_dir: Path, state_free: bool = False) -> Benchmark:
     t0 = time.perf_counter()
     out_dir = Path(out_dir)
-    bench = gen_benchmark(cfg["profile"], int(cfg["seed"]), state_free=state_free)
+    bench = gen_benchmark(cfg["profile"], cfg["seed"], state_free=state_free)
     p = out_dir / "benchmark"
     bench.save(p)
     update_manifest(out_dir, config=cfg, benchmark=str(p), state_free=state_free,
@@ -183,14 +192,12 @@ def stage_train_surrogate(cfg: dict, out_dir: Path,
     bench = bench or _load_benchmark(out_dir)
     fundamentals = [d.fund for d in bench.train_days]
     ds = sur.build_dataset(bench.cfg, fundamentals,
-                           per_day=bench.surrogate_per_day, seed=int(cfg["seed"]),
+                           per_day=bench.surrogate_per_day, seed=cfg["seed"],
                            replicates=bench.surrogate_replicates)
     sur.write_dataset(ds, out_dir / "surrogate_dataset.csv")
     sc = cfg["surrogate"]
-    net, curves = sur.train_surrogate(ds, epochs=int(sc["epochs"]),
-                                      lr=float(sc["lr"]),
-                                      batch_size=int(sc["batch_size"]),
-                                      seed=int(cfg["seed"]))
+    net, curves = sur.train_surrogate(ds, epochs=sc["epochs"], lr=sc["lr"],
+                                      batch_size=sc["batch_size"], seed=cfg["seed"])
     ck = out_dir / "surrogate.ck"
     net.save(ck)
     write_table(out_dir / "surrogate_curves.csv", ["epoch", "train_loss", "val_loss"],
@@ -228,16 +235,14 @@ def stage_train_metamarket(cfg: dict, out_dir: Path, w_s: float | None = None,
     bench = bench or _load_benchmark(out_dir)
     net = net or _load_surrogate(out_dir)
     mc = cfg["metamarket"]
-    if w_s is None:
-        w_s = float(mc["w_s"])
     states = np.stack([d.state_assembled for d in bench.train_days])
     state_norm = feat.FeatureNormalizer.fit(states)
     corpus = _build_corpus(bench, net, state_norm)
-    rng = np.random.default_rng(np.random.SeedSequence([int(cfg["seed"]), 0x4B]))
+    rng = np.random.default_rng(np.random.SeedSequence([cfg["seed"], 0x4B]))
     k = mm.MetaMarket(bench.cfg.fundamental_len, rng, net.norm, state_norm)
-    curves = mm.train(k, corpus, net, w_t=float(mc["w_t"]), w_s=w_s,
-                      epochs=int(mc["epochs"]), lr=float(mc["lr"]),
-                      seed=int(cfg["seed"]))
+    curves = mm.train(k, corpus, net, epochs=mc["epochs"], w_t=mc["w_t"],
+                      w_s=mc["w_s"] if w_s is None else w_s,
+                      lr=mc["lr"], seed=cfg["seed"])
     ck = out_dir / f"metamarket{tag}.ck"
     k.save(ck)
     write_table(out_dir / f"metamarket{tag}_curves.csv", ["epoch", "recon", "variation"],
@@ -293,7 +298,7 @@ def stage_calibrate(cfg: dict, out_dir: Path, method: str, seed: int = 0,
         source = key = "calisim" + metamarket_tag
     else:
         rows, calls = calibrate_baseline(bench, method, _load_surrogate(out_dir),
-                                         trials=int(cfg["baselines"]["trials"]), seed=seed)
+                                         trials=cfg["baselines"]["trials"], seed=seed)
         source, key = method, f"{method}_seed{seed}"
     path = out_dir / f"calibration_{key}.csv"
     mm.write_calibration(path, [(day, b, source) for day, b in rows])
@@ -373,7 +378,6 @@ def stage_evaluate(cfg: dict, out_dir: Path, bench: Benchmark | None = None) -> 
     out_dir = Path(out_dir)
     bench = bench or _load_benchmark(out_dir)
     net = _load_surrogate(out_dir)
-    eval_seeds = [int(s) for s in cfg["evaluate"]["eval_seeds"]]
 
     # every calibration file is read and checked before any day is scored
     test_days = [d.day for d in bench.test_days]
@@ -390,7 +394,7 @@ def stage_evaluate(cfg: dict, out_dir: Path, bench: Benchmark | None = None) -> 
         raise FileNotFoundError(
             f"no calibration outputs found in {out_dir}; run calibrate first "
             f"(missing: {', '.join(missing)})")
-    evals = {source: _eval_method(bench, c, net, eval_seeds)
+    evals = {source: _eval_method(bench, c, net, cfg["evaluate"]["eval_seeds"])
              for source, c in cals.items() if c}
 
     report_dir = out_dir / "evaluation"

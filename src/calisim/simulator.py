@@ -232,27 +232,18 @@ def _wake_schedule(rng: np.random.Generator, cfg: SimConfig) -> list[int]:
     (slot, then ascending agent id), ending in a sentinel past the last slot.
 
     The entries are the nonzeros of `rng.random((slots_per_day, n_agents)) <
-    wake_prob`, drawn WAKE_CHUNK_SLOTS rows at a time from a copy of the
-    generator, so the whole matrix never exists. `rng` itself is advanced
-    past those draws (each float64 of `Generator.random` takes one 64-bit
-    output), so it continues exactly as after the one-shot draw.
+    wake_prob`, drawn WAKE_CHUNK_SLOTS rows at a time, so the whole matrix
+    never exists. Each float64 of `Generator.random` takes the generator's
+    next 64-bit output, so the chunks are the one-shot matrix's rows and
+    leave `rng` exactly as the one-shot draw does.
     """
-    bit_gen = rng.bit_generator
-    state = bit_gen.state
-    if state["has_uint32"]:
-        # advance() drops the buffered half, which the one-shot draw keeps
-        raise RuntimeError("wake schedule: the generator holds a buffered 32-bit "
-                           "output that advancing it would drop")
-    draws = np.random.Generator(np.random.PCG64())
-    draws.bit_generator.state = state
     n_agents, slots = cfg.n_agents, cfg.slots_per_day
     wakes: list[int] = []
     for start in range(0, slots, WAKE_CHUNK_SLOTS):
         rows = min(WAKE_CHUNK_SLOTS, slots - start)
-        wake = draws.random((rows, n_agents)) < cfg.wake_prob
+        wake = rng.random((rows, n_agents)) < cfg.wake_prob
         wakes += (np.flatnonzero(wake) + start * n_agents).tolist()
     wakes.append(slots * n_agents)
-    bit_gen.advance(slots * n_agents)
     return wakes
 
 

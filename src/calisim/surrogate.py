@@ -54,7 +54,7 @@ class SurrogateNet:
     def forward(self, b_norm: Tensor, fund_norm: Tensor) -> Tensor:
         """z-space feature prediction; differentiable w.r.t. b_norm."""
         femb = ad.relu(self.f2(ad.relu(self.f1(fund_norm))))
-        h = ad.concat([b_norm, femb], axis=-1)
+        h = ad.concat([b_norm, femb])
         for layer in self.trunk[:-1]:
             h = ad.relu(layer(h))
         return self.trunk[-1](h)
@@ -154,7 +154,7 @@ def _batch_loss(net: SurrogateNet, b: np.ndarray, f: np.ndarray,
     return ad.mean(ad.vsum(ad.square(ad.sub(pred, Tensor(q))), axis=1))
 
 
-def train_surrogate(ds: SurrogateDataset, epochs: int = 200, lr: float = 1e-3,
+def train_surrogate(ds: SurrogateDataset, epochs: int, lr: float = 1e-3,
                     batch_size: int = 32, seed: int = 0,
                     ) -> tuple[SurrogateNet, TrainCurves]:
     """Adam on summed squared z-space error; returns the best-validation

@@ -329,6 +329,13 @@ def test_detach_blocks_gradient():
     assert np.array_equal(p.grad, np.zeros(2))
 
 
+def test_backward_requires_a_scalar():
+    p = ad.parameter([2.0, -1.0], "p")
+    with pytest.raises(ValueError, match="scalar"):
+        ad.square(p).backward()
+    assert np.array_equal(p.grad, np.zeros(2))
+
+
 def test_selective_update_masked_group_gets_zero_grad():
     """A loss that flows only through one parameter group leaves exactly
     zero accumulated gradient on the other."""

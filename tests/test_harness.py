@@ -68,12 +68,14 @@ def test_load_config_defaults():
 def test_load_config_partial_override(tmp_path):
     """Any profile registered in benchmark.PROFILES loads (`tiny` is, by
     the module fixture), and a leaf takes its default's type: PyYAML reads
-    1e-3, with no dot in the mantissa, as a string."""
+    1e-3, with no dot in the mantissa, as a string, and an int field takes
+    a numeric string or a whole float."""
     p = tmp_path / "cfg.yaml"
-    p.write_text("profile: tiny\nseed: 7\nsurrogate:\n  epochs: 5\n  lr: 1e-3\n")
+    p.write_text("profile: tiny\nseed: '7'\nsurrogate:\n  epochs: 5.0\n  lr: 1e-3\n")
     cfg = load_config(p)
     assert (cfg["profile"], cfg["seed"]) == ("tiny", 7)
     assert (cfg["surrogate"]["epochs"], cfg["surrogate"]["lr"]) == (5, 0.001)
+    assert type(cfg["seed"]) is type(cfg["surrogate"]["epochs"]) is int
     assert cfg["surrogate"]["batch_size"] == harness.DEFAULT_CONFIG["surrogate"]["batch_size"]
 
 
@@ -85,6 +87,10 @@ def test_load_config_partial_override(tmp_path):
     ("surrogate: 3\n", "surrogate"),
     ("evaluate:\n  eval_seeds: 3\n", "evaluate.eval_seeds"),
     ("seed: abc\n", "seed"),
+    ("seed: 2.5\n", "seed"),
+    ("baselines:\n  trials: 4.9\n", "baselines.trials"),
+    ("evaluate:\n  eval_seeds: [1.7]\n", "evaluate.eval_seeds"),
+    ("surrogate:\n  epochs: true\n", "surrogate.epochs"),
 ])
 def test_load_config_rejects_unknown_fields(tmp_path, text, field):
     p = tmp_path / "cfg.yaml"

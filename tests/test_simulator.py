@@ -168,39 +168,35 @@ def _one_shot_wake_schedule(rng, cfg):
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 600, 10_000])
-@pytest.mark.parametrize("cfg", [
-    pytest.param(SimConfig(slots_per_day=1000, n_agents=1, wake_prob=0.3), id="one-agent"),
-    pytest.param(SimConfig(slots_per_day=600, n_agents=5, wake_prob=1.0), id="every-slot"),
-    pytest.param(SimConfig(slots_per_day=1000, n_agents=37), id="1000-slots"),
-    pytest.param(CFG, id="ci-shape"),
+@pytest.mark.parametrize("cfg, pending_half", [
+    pytest.param(SimConfig(slots_per_day=1000, n_agents=1, wake_prob=0.3), False,
+                 id="one-agent"),
+    pytest.param(SimConfig(slots_per_day=600, n_agents=5, wake_prob=1.0), False,
+                 id="every-slot"),
+    pytest.param(SimConfig(slots_per_day=1000, n_agents=37), False, id="1000-slots"),
+    pytest.param(CFG, False, id="ci-shape"),
+    pytest.param(CFG, True, id="pending-32-bit-half"),
 ])
-def test_chunked_wake_schedule_matches_one_shot(monkeypatch, cfg, chunk):
-    """The schedule drawn in chunks from a copy of the generator equals the
-    one-shot `flatnonzero` schedule, and the generator then continues with
-    the same normals, uniforms and 32-bit draws as after the one-shot draw."""
+def test_chunked_wake_schedule_matches_one_shot(monkeypatch, cfg, pending_half, chunk):
+    """The schedule drawn in chunks equals the one-shot `flatnonzero`
+    schedule and leaves the generator in the same state, a buffered 32-bit
+    half included, so it continues with the same normals, uniforms and
+    32-bit draws as after the one-shot draw."""
     monkeypatch.setattr(sim, "WAKE_CHUNK_SLOTS", chunk)
     for seed in range(3):
         ours = np.random.default_rng(seed)
         ref = np.random.default_rng(seed)
         for rng in (ours, ref):   # 64-bit draws first, as build_population makes
             rng.laplace(0.0, 1.0, 11)
+            if pending_half:
+                rng.random(dtype=np.float32)
+                assert rng.bit_generator.state["has_uint32"] == 1
         assert sim._wake_schedule(ours, cfg) == _one_shot_wake_schedule(ref, cfg)
-        for rng in (ours, ref):
-            assert rng.bit_generator.state["has_uint32"] == 0
+        assert ours.bit_generator.state == ref.bit_generator.state
         assert ours.normal(size=50).tobytes() == ref.normal(size=50).tobytes()
         assert ours.random(50).tobytes() == ref.random(50).tobytes()
         assert (ours.random(5, dtype=np.float32).tobytes()
                 == ref.random(5, dtype=np.float32).tobytes())
-
-
-def test_wake_schedule_rejects_a_pending_32_bit_half():
-    """Advancing the generator would drop a buffered 32-bit output that the
-    one-shot draw keeps, so the schedule refuses such a generator."""
-    rng = np.random.default_rng(0)
-    rng.random(dtype=np.float32)
-    assert rng.bit_generator.state["has_uint32"] == 1
-    with pytest.raises(RuntimeError, match="32-bit"):
-        sim._wake_schedule(rng, CFG)
 
 
 def test_conservation_of_cash_and_holdings():
