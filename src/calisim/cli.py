@@ -1,4 +1,5 @@
-"""Command-line entry point: one subcommand per pipeline stage."""
+"""Command-line entry point: one subcommand per pipeline stage, and `pipeline`
+for the whole run."""
 
 from __future__ import annotations
 
@@ -42,24 +43,22 @@ def _parser() -> argparse.ArgumentParser:
     subs.add_parser("train-surrogate", help="build the dataset and train the surrogate")
 
     t = subs.add_parser("train-metamarket", help="train the one-shot calibrator")
-    t.add_argument("--w-s", type=float, default=None,
-                   help="override the market-state consistency weight")
-    t.add_argument("--tag", type=str, default="",
-                   help="checkpoint suffix (e.g. _ws0 for the ablation arm)")
+    t.add_argument("--ablation", action="store_true",
+                   help="train the ablation arm, without the state-consistency loss")
 
     c = subs.add_parser("calibrate", help="calibrate every test day")
     c.add_argument("--method", choices=harness.METHODS, required=True)
     c.add_argument("--seed", type=int, default=0, help="search seed (baselines)")
-    c.add_argument("--tag", type=str, default="",
-                   help="calibrator checkpoint suffix (calisim only)")
+    c.add_argument("--ablation", action="store_true",
+                   help="calibrate with the ablation arm (calisim only)")
 
     subs.add_parser("evaluate", help="produce the evaluation report bundle")
+    subs.add_parser("pipeline", help="run every stage above, then evaluate")
 
     h = subs.add_parser("hypothesize", help="counterfactual state query")
     h.add_argument("--day", type=int, required=True)
     h.add_argument("--set", action="append", default=[], metavar="NAME=DELTA",
                    help="shift an indicator by DELTA z-units (repeatable)")
-    h.add_argument("--tag", type=str, default="")
     return p
 
 
@@ -127,21 +126,23 @@ def _dispatch(args, cfg: dict) -> int:
         return 0
 
     if args.command == "train-metamarket":
-        _, curves = harness.stage_train_metamarket(cfg, out, w_s=args.w_s, tag=args.tag)
-        print(f"metamarket{args.tag}: recon {curves.recon[0]:.4f} -> {curves.recon[-1]:.4f}, "
+        _, curves = harness.stage_train_metamarket(cfg, out, ablation=args.ablation)
+        print(f"{harness._metamarket_key(args.ablation)}: "
+              f"recon {curves.recon[0]:.4f} -> {curves.recon[-1]:.4f}, "
               f"variation {curves.variation[0]:.5f} -> {curves.variation[-1]:.5f}")
         return 0
 
     if args.command == "calibrate":
         path = harness.stage_calibrate(cfg, out, args.method, seed=args.seed,
-                                       metamarket_tag=args.tag)
+                                       ablation=args.ablation)
         calls = harness.read_manifest(out)["sim_calls"]
         key = path.stem.removeprefix("calibration_")
         print(f"calibration -> {path} (simulator calls: {calls[key]['total']})")
         return 0
 
-    if args.command == "evaluate":
-        summary = harness.stage_evaluate(cfg, out)
+    if args.command in ("evaluate", "pipeline"):
+        run = harness.stage_evaluate if args.command == "evaluate" else harness.run_pipeline
+        summary = run(cfg, out)
         for source, row in summary["methods"].items():
             print(f"{source}: mean recon {row['mean_recon']:.4f}, "
                   f"median variation {row['median_variation']:.5f}, "
@@ -161,8 +162,7 @@ def _dispatch(args, cfg: dict) -> int:
             if not np.isfinite(deltas[name]):
                 raise ConfigError(f"config field set: the delta of {name} must be "
                                   f"a finite number, got {val!r}")
-        report = harness.stage_hypothesize(cfg, out, args.day, deltas,
-                                           metamarket_tag=args.tag)
+        report = harness.stage_hypothesize(cfg, out, args.day, deltas)
         print(f"day {report['day']}")
         for name in report["factual"]:
             print(f"{name}: {report['factual'][name]:.6g} -> "

@@ -24,7 +24,8 @@ from .marketstate import N_STATE, STATE_NAMES
 from .tables import file_sha256, write_table
 
 METHODS = ("calisim", "randsearch", "bayesopt")
-ABLATION = "calisim_ws0"
+ABLATION_TAG = "_ws0"
+ABLATION = "calisim" + ABLATION_TAG
 
 # Reference magnitudes from the original correlation study (per-indicator
 # mean absolute Pearson rho), annotated in reports for orientation only.
@@ -92,8 +93,8 @@ def load_config(path: Path | None) -> dict:
                 cfg[key] = _convert(key, cfg[key], val)
     if cfg["profile"] not in PROFILES:
         raise ConfigError(f"config field profile: {cfg['profile']!r} not in {tuple(PROFILES)}")
-    if cfg["baselines"]["trials"] < 1:
-        raise ConfigError("config field baselines.trials: must be >= 1")
+    if cfg["baselines"]["trials"] <= bl.WARM_STARTS:
+        raise ConfigError(f"config field baselines.trials: must be > {bl.WARM_STARTS}")
     return cfg
 
 
@@ -179,9 +180,13 @@ def _load_surrogate(out_dir: Path) -> sur.SurrogateNet:
         _checkpoint(out_dir, "surrogate", "surrogate", "train-surrogate"))
 
 
-def _load_metamarket(out_dir: Path, tag: str) -> mm.MetaMarket:
+def _metamarket_key(ablation: bool) -> str:
+    return "metamarket" + (ABLATION_TAG if ablation else "")
+
+
+def _load_metamarket(out_dir: Path, ablation: bool = False) -> mm.MetaMarket:
     return mm.MetaMarket.load(
-        _checkpoint(out_dir, f"metamarket{tag}", "calibrator", "train-metamarket"))
+        _checkpoint(out_dir, _metamarket_key(ablation), "calibrator", "train-metamarket"))
 
 
 def stage_train_surrogate(cfg: dict, out_dir: Path,
@@ -226,8 +231,8 @@ def _build_corpus(bench: Benchmark, net: sur.SurrogateNet,
     return records
 
 
-def stage_train_metamarket(cfg: dict, out_dir: Path, w_s: float | None = None,
-                           tag: str = "", bench: Benchmark | None = None,
+def stage_train_metamarket(cfg: dict, out_dir: Path, ablation: bool = False,
+                           bench: Benchmark | None = None,
                            net: sur.SurrogateNet | None = None,
                            ) -> tuple[mm.MetaMarket, mm.MetaCurves]:
     t0 = time.perf_counter()
@@ -241,20 +246,19 @@ def stage_train_metamarket(cfg: dict, out_dir: Path, w_s: float | None = None,
     rng = np.random.default_rng(np.random.SeedSequence([cfg["seed"], 0x4B]))
     k = mm.MetaMarket(bench.cfg.fundamental_len, rng, net.norm, state_norm)
     curves = mm.train(k, corpus, net, epochs=mc["epochs"], w_t=mc["w_t"],
-                      w_s=mc["w_s"] if w_s is None else w_s,
-                      lr=mc["lr"], seed=cfg["seed"])
-    ck = out_dir / f"metamarket{tag}.ck"
+                      w_s=0.0 if ablation else mc["w_s"], lr=mc["lr"], seed=cfg["seed"])
+    key = _metamarket_key(ablation)
+    ck = out_dir / f"{key}.ck"
     k.save(ck)
-    write_table(out_dir / f"metamarket{tag}_curves.csv", ["epoch", "recon", "variation"],
+    write_table(out_dir / f"{key}_curves.csv", ["epoch", "recon", "variation"],
                 zip(range(len(curves.recon)), curves.recon, curves.variation))
-    update_manifest(out_dir, **{f"metamarket{tag}": str(ck),
-                                f"metamarket{tag}_sha256": file_sha256(ck),
-                                f"metamarket{tag}_wall_s": time.perf_counter() - t0,
-                                f"metamarket{tag}_recon0": float(curves.recon[0]),
-                                f"metamarket{tag}_recon_final": float(curves.recon[-1]),
-                                f"metamarket{tag}_var0": float(curves.variation[0]),
-                                f"metamarket{tag}_var_final": float(curves.variation[-1]),
-                                f"metamarket{tag}_skipped_steps": curves.skipped_steps})
+    update_manifest(out_dir, **{key: str(ck), f"{key}_sha256": file_sha256(ck),
+                                f"{key}_wall_s": time.perf_counter() - t0,
+                                f"{key}_recon0": float(curves.recon[0]),
+                                f"{key}_recon_final": float(curves.recon[-1]),
+                                f"{key}_var0": float(curves.variation[0]),
+                                f"{key}_var_final": float(curves.variation[-1]),
+                                f"{key}_skipped_steps": curves.skipped_steps})
     return k, curves
 
 
@@ -285,17 +289,19 @@ def calibrate_baseline(bench: Benchmark, method: str, net: sur.SurrogateNet,
 
 
 def stage_calibrate(cfg: dict, out_dir: Path, method: str, seed: int = 0,
-                    metamarket_tag: str = "", bench: Benchmark | None = None,
+                    ablation: bool = False, bench: Benchmark | None = None,
                     ) -> Path:
     if method not in METHODS:
         raise ConfigError(f"config field method: unknown method {method!r}")
+    if ablation and method != "calisim":
+        raise ConfigError(f"config field ablation: {method} has no ablation arm")
     t0 = time.perf_counter()
     out_dir = Path(out_dir)
     bench = bench or _load_benchmark(out_dir)
     if method == "calisim":
-        rows = calibrate_calisim(bench, _load_metamarket(out_dir, metamarket_tag))
+        rows = calibrate_calisim(bench, _load_metamarket(out_dir, ablation))
         calls = 0
-        source = key = "calisim" + metamarket_tag
+        source = key = ABLATION if ablation else "calisim"
     else:
         rows, calls = calibrate_baseline(bench, method, _load_surrogate(out_dir),
                                          trials=cfg["baselines"]["trials"], seed=seed)
@@ -309,6 +315,21 @@ def stage_calibrate(cfg: dict, out_dir: Path, method: str, seed: int = 0,
     update_manifest(out_dir, sim_calls=counters,
                     **{f"calibrate_{key}_wall_s": time.perf_counter() - t0})
     return path
+
+
+def run_pipeline(cfg: dict, out_dir: Path) -> dict:
+    """The paper's run: gen-benchmark, the surrogate, the calibrator and its
+    ablation arm (w_s = 0), the one-shot calibration of each, the search
+    baselines at every seed of `baselines.seeds`, then evaluate's summary."""
+    bench = stage_gen_benchmark(cfg, out_dir)
+    net, _ = stage_train_surrogate(cfg, out_dir, bench=bench)
+    for ablation in (False, True):
+        stage_train_metamarket(cfg, out_dir, ablation=ablation, bench=bench, net=net)
+        stage_calibrate(cfg, out_dir, "calisim", ablation=ablation, bench=bench)
+    for seed in cfg["baselines"]["seeds"]:
+        for method in METHODS[1:]:  # the search baselines
+            stage_calibrate(cfg, out_dir, method, seed=seed, bench=bench)
+    return stage_evaluate(cfg, out_dir, bench=bench)
 
 
 # -- evaluation ----------------------------------------------------------------------
@@ -483,13 +504,12 @@ def _emit_plot_scripts(report_dir: Path):
 
 
 def stage_hypothesize(cfg: dict, out_dir: Path, day: int,
-                      deltas: dict[str, float],
-                      metamarket_tag: str = "") -> dict:
+                      deltas: dict[str, float]) -> dict:
     """Counterfactual query: shift the named state indicators (in z-units)
     for one test day and report the behavior delta."""
     out_dir = Path(out_dir)
     bench = _load_benchmark(out_dir)
-    k = _load_metamarket(out_dir, metamarket_tag)
+    k = _load_metamarket(out_dir)
     by_day = {d.day: d for d in bench.days}
     if day not in by_day or by_day[day].state_assembled is None:
         raise ConfigError(f"config field day: day {day} has no assembled state")

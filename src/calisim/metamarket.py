@@ -235,7 +235,7 @@ def _windows(corpus: list[DayRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def train(k: MetaMarket, corpus: list[DayRecord], surrogate: SurrogateNet,
-          epochs: int, w_t: float = 0.1, w_s: float = 1.0,
+          epochs: int, w_t: float, w_s: float,
           lr: float = 1e-3, seed: int = 0) -> MetaCurves:
     """Composite-loss training over all sliding windows as one batch.
 

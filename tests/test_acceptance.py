@@ -3,11 +3,13 @@ order-book invariants, feature-extraction exactness, surrogate and
 calibrator training, and the full benchmark comparison against the search
 baselines.
 
-The first pipeline-backed test triggers one end-to-end CI-profile run
-(benchmark -> surrogate -> calibrator + ablation arm -> all calibrations
--> evaluation); later criteria reuse its artifacts. Each criterion emits
-one PASS/FAIL line, repeated in the run's terminal summary. Expect
-roughly ten minutes for the whole file.
+The first pipeline-backed test triggers one end-to-end CI-profile run,
+`harness.run_pipeline` (benchmark -> surrogate -> calibrator + ablation
+arm -> all calibrations -> evaluation); later criteria reuse its artifacts
+and read each stage's numbers from its `manifest.yaml`. Each criterion
+emits one PASS/FAIL line, repeated in the run's terminal summary. The
+whole file takes about 3 minutes on a 2-vCPU VM, nearly all of it the
+pipeline.
 """
 
 import csv
@@ -50,33 +52,11 @@ def report(num: int, name: str, ok: bool, detail: str):
 def pipeline(tmp_path_factory):
     out = tmp_path_factory.mktemp("ci_run")
     cfg = harness.load_config(None)
-    times = {}
-    t_all = time.time()
-
     t0 = time.time()
-    bench = harness.stage_gen_benchmark(cfg, out)
-    times["benchmark"] = time.time() - t0
-
-    t0 = time.time()
-    net, scurves = harness.stage_train_surrogate(cfg, out, bench=bench)
-    times["surrogate"] = time.time() - t0
-
-    t0 = time.time()
-    _, mcurves = harness.stage_train_metamarket(cfg, out, bench=bench, net=net)
-    times["metamarket"] = time.time() - t0
-    _, mcurves0 = harness.stage_train_metamarket(cfg, out, w_s=0.0, tag="_ws0",
-                                                 bench=bench, net=net)
-
-    harness.stage_calibrate(cfg, out, "calisim", bench=bench)
-    harness.stage_calibrate(cfg, out, "calisim", metamarket_tag="_ws0", bench=bench)
-    for seed in cfg["baselines"]["seeds"]:
-        harness.stage_calibrate(cfg, out, "randsearch", seed=seed, bench=bench)
-        harness.stage_calibrate(cfg, out, "bayesopt", seed=seed, bench=bench)
-    summary = harness.stage_evaluate(cfg, out, bench=bench)
-    times["total"] = time.time() - t_all
-    return SimpleNamespace(out=out, cfg=cfg, bench=bench, scurves=scurves,
-                           mcurves=mcurves, mcurves0=mcurves0,
-                           summary=summary, times=times)
+    summary = harness.run_pipeline(cfg, out)
+    total = time.time() - t0
+    return SimpleNamespace(out=out, cfg=cfg, bench=harness._load_benchmark(out),
+                           man=harness.read_manifest(out), summary=summary, total=total)
 
 
 # -- criterion 1: gradient fidelity of every trainable block --------------------------
@@ -253,27 +233,26 @@ def test_criterion_03_feature_recount():
 
 
 def test_criterion_04_surrogate_training(pipeline):
-    curves = pipeline.scurves
-    best = min(curves.val_loss)
+    val0, best = pipeline.man["surrogate_val0"], pipeline.man["surrogate_val_best"]
     with open(pipeline.out / "surrogate_dataset.csv") as f:
         rows = list(csv.DictReader(f))
     val_q = np.array([[float(r[f"q{i + 1}"]) for i in range(13)]
                       for r in rows if r["split"] == "val"])
     floor = sur.constant_mean_loss(val_q)
-    dt = pipeline.times["surrogate"]
-    ok = best <= 0.7 * curves.val_loss[0] and best <= floor and dt < 300.0
+    dt = pipeline.man["surrogate_wall_s"]
+    ok = best <= 0.7 * val0 and best <= floor and dt < 300.0
     report(4, "surrogate training", ok,
-           f"best val {best:.4f} vs 0.7*epoch0 {0.7 * curves.val_loss[0]:.4f} "
+           f"best val {best:.4f} vs 0.7*epoch0 {0.7 * val0:.4f} "
            f"and constant-mean {floor:.4f}, in {dt:.0f}s (limit 300s)")
 
 
 def test_criterion_05_metamarket_training(pipeline):
-    c = pipeline.mcurves
-    dt = pipeline.times["metamarket"]
-    ok = c.recon[-1] < c.recon[0] and c.variation[-1] < c.variation[0] and dt < 600.0
+    r0, r1, v0, v1, dt = (pipeline.man[f"metamarket_{k}"] for k in
+                          ("recon0", "recon_final", "var0", "var_final", "wall_s"))
+    ok = r1 < r0 and v1 < v0 and dt < 600.0
     report(5, "calibrator training", ok,
-           f"recon {c.recon[0]:.2f} -> {c.recon[-1]:.2f}, "
-           f"variation {c.variation[0]:.4f} -> {c.variation[-1]:.4f} "
+           f"recon {r0:.2f} -> {r1:.2f}, "
+           f"variation {v0:.4f} -> {v1:.4f} "
            f"(both must strictly drop), in {dt:.0f}s (limit 600s)")
 
 
@@ -311,7 +290,7 @@ def test_criterion_08_simulator_call_budget(pipeline):
     """Counter-verified via `DayScore.calls`, counted where each day is
     simulated, independent of the search implementations' own loop
     accounting."""
-    counters = harness.read_manifest(pipeline.out)["sim_calls"]
+    counters = pipeline.man["sim_calls"]
     n_days = len(pipeline.bench.test_days)
     trials = pipeline.cfg["baselines"]["trials"]
     ok = counters["calisim"]["total"] == 0 and counters["calisim"]["per_day"] == 0
@@ -326,7 +305,7 @@ def test_criterion_08_simulator_call_budget(pipeline):
 
 def test_criterion_09_state_loss_ablation(pipeline):
     m = pipeline.summary["methods"]
-    ws1, ws0 = m["calisim"]["mean_recon"], m["calisim_ws0"]["mean_recon"]
+    ws1, ws0 = m["calisim"]["mean_recon"], m[harness.ABLATION]["mean_recon"]
     report(9, "state-consistency ablation", ws1 < ws0,
            f"mean test recon with state loss {ws1:.2f} < without {ws0:.2f}")
 
@@ -336,7 +315,7 @@ def test_criterion_10_behavior_recovery(pipeline):
     cs = m["calisim"]["mean_recovery"]
     rs = m["randsearch"]["mean_recovery"]
     bo = m["bayesopt"]["mean_recovery"]
-    total = pipeline.times["total"]
+    total = pipeline.total
     ok = cs < rs and cs < bo and total < 1800.0
     report(10, "planted-behavior recovery", ok,
            f"mean ||b_hat - b*||^2 {cs:.4f} vs {rs:.4f}/{bo:.4f}; "

@@ -2,8 +2,11 @@
 accounting, stage wiring on a tiny end-to-end run, and the evaluation
 report bundle."""
 
+import contextlib
 import hashlib
+import io
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -16,7 +19,7 @@ import yaml
 from calisim import benchmark as bm
 from calisim import harness
 from calisim import simulator as sim
-from calisim.cli import main
+from calisim.cli import _parser, main
 from calisim.harness import ConfigError, load_config, read_manifest, update_manifest
 
 TINY = dict(n_train=6, n_test=4, n_agents=20, slots_per_day=600,
@@ -84,6 +87,7 @@ def test_load_config_partial_override(tmp_path):
     ("surrogate:\n  bogus: 1\n", "surrogate.bogus"),
     ("profile: nope\n", "profile"),
     ("baselines:\n  trials: 0\n", "baselines.trials"),
+    ("baselines:\n  trials: 3\n", "baselines.trials"),
     ("surrogate: 3\n", "surrogate"),
     ("evaluate:\n  eval_seeds: 3\n", "evaluate.eval_seeds"),
     ("seed: abc\n", "seed"),
@@ -344,12 +348,15 @@ TINY_GOLDEN = {
 }
 
 
+def _digests(out: Path) -> dict[str, str]:
+    return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.rglob("*"))
+            if p.is_file() and p.name != "manifest.yaml"}
+
+
 def test_tiny_pipeline_golden_digests(pipeline):
     out, _, _ = pipeline
-    got = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-           for p in sorted(out.rglob("*"))
-           if p.is_file() and p.name != "manifest.yaml"}
-    assert got == TINY_GOLDEN
+    assert _digests(out) == TINY_GOLDEN
 
 
 def test_evaluate_without_calibrations(pipeline, tmp_path):
@@ -396,10 +403,119 @@ def test_hypothesize_stage(pipeline):
 # -- CLI ----------------------------------------------------------------------------
 
 
+@pytest.fixture(scope="module")
+def tiny_cfg_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cfg") / "tiny.yaml"
+    path.write_text(yaml.safe_dump(TINY_CFG))
+    return path
+
+
+@pytest.fixture(scope="module")
+def cli_pipeline(tiny_cfg_file, tmp_path_factory):
+    """`calisim pipeline` on the tiny profile, into a run directory it
+    creates: its exit code, what it printed and the run directory."""
+    out = tmp_path_factory.mktemp("cli_run") / "run"
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        code = main(["--config", str(tiny_cfg_file), "--out", str(out), "pipeline"])
+    return code, printed.getvalue(), out
+
+
+# the evaluation files that name every calibrated method, the ablation arm included
+EVAL_TABLES = ("evaluation/correlation_table.csv", "evaluation/reconstruction_cdf.csv",
+               "evaluation/recovery.csv", "evaluation/variation_hist.csv")
+
+
+def test_cli_pipeline_runs_the_stagewise_run_plus_the_ablation_arm(cli_pipeline):
+    """`calisim pipeline` writes the stage-wise tiny run's files bit for bit,
+    plus the ablation arm: its checkpoint, curves and calibration, and its
+    rows in the evaluation tables."""
+    code, _, out = cli_pipeline
+    assert code == 0
+    got = _digests(out)
+    arm = {"metamarket_ws0.ck", "metamarket_ws0_curves.csv", "calibration_calisim_ws0.csv"}
+    assert set(got) == set(TINY_GOLDEN) | arm
+    for name, digest in TINY_GOLDEN.items():
+        if name in EVAL_TABLES:
+            lines = (out / name).read_bytes().splitlines(keepends=True)
+            kept = b"".join(x for x in lines if not x.startswith(b"calisim_ws0,"))
+            assert len(kept) < sum(map(len, lines)), name
+            assert hashlib.sha256(kept).hexdigest() == digest, name
+        elif name != "evaluation/summary.yaml":
+            assert got[name] == digest, name
+    with open(out / "evaluation" / "summary.yaml") as f:
+        summary = yaml.safe_load(f)
+    assert summary["missing_methods"] == []
+    assert set(summary["methods"]) == {*harness.METHODS, harness.ABLATION, "ground_truth"}
+    man = read_manifest(out)
+    for key in ("wall_s", "sha256", "skipped_steps"):
+        assert f"metamarket_ws0_{key}" in man, key
+    assert man["calibrate_calisim_ws0_wall_s"] > 0
+    assert set(man["sim_calls"]) == {"calisim", "calisim_ws0",
+                                     *(f"{m}_seed{s}" for m in ("randsearch", "bayesopt")
+                                       for s in TINY_CFG["baselines"]["seeds"])}
+
+
+def test_cli_pipeline_prints_the_evaluate_lines(cli_pipeline, tiny_cfg_file, tmp_path,
+                                                capsys):
+    _, printed, out = cli_pipeline
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    assert main(["--config", str(tiny_cfg_file), "--out", str(run), "evaluate"]) == 0
+    assert printed == capsys.readouterr().out
+    assert [x.split(":")[0] for x in printed.splitlines()] == [
+        *harness.METHODS, harness.ABLATION, "ground_truth"]
+
+
+def test_cli_ablation_arm_matches_the_pipeline(pipeline, cli_pipeline, tiny_cfg_file,
+                                               tmp_path, capsys):
+    """On a copy of the stage-wise tiny run, `train-metamarket --ablation`
+    and `calibrate --method calisim --ablation` write the files that
+    `calisim pipeline` writes for the ablation arm, byte for byte."""
+    out, _, _ = pipeline
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    cfg = ["--config", str(tiny_cfg_file), "--out", str(run)]
+    assert main([*cfg, "train-metamarket", "--ablation"]) == 0
+    assert capsys.readouterr().out.startswith("metamarket_ws0: recon")
+    assert main([*cfg, "calibrate", "--method", "calisim", "--ablation"]) == 0
+    assert "calibration_calisim_ws0.csv (simulator calls: 0)" in capsys.readouterr().out
+    _, _, piped = cli_pipeline
+    for name in ("metamarket_ws0.ck", "calibration_calisim_ws0.csv"):
+        assert (run / name).read_bytes() == (piped / name).read_bytes(), name
+    assert (run / "metamarket.ck").read_bytes() == (out / "metamarket.ck").read_bytes()
+
+
+def test_cli_ablation_of_a_search_baseline_exits_1(tmp_path, capsys):
+    assert main(["--out", str(tmp_path), "calibrate", "--method", "randsearch",
+                 "--ablation"]) == 1
+    assert "config field ablation: randsearch has no ablation arm" in capsys.readouterr().err
+
+
+def test_readme_cli_lines_parse():
+    """Every `calisim ...` line of the README's CLI block parses, so an
+    option removed from the CLI cannot stay in the docs."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [x for x in block.splitlines() if x.startswith("calisim ")]
+    commands = set()
+    for line in lines:
+        args = shlex.split(line, comments=True)[1:]
+        try:
+            commands.add(_parser().parse_args(args).command)
+        except SystemExit:
+            pytest.fail(f"README CLI line does not parse: {line}")
+    assert len(lines) >= 12 and {"pipeline", "train-metamarket", "calibrate"} <= commands
+
+
 def test_cli_unknown_command_exits_2(tmp_path, capsys):
     assert main(["--out", str(tmp_path), "frobnicate"]) == 2
     assert main(["--out", str(tmp_path)]) == 2  # missing subcommand
     assert main(["--out", str(tmp_path), "calibrate", "--method", "nope"]) == 2
+    # the ablation arm is `--ablation`; `pipeline` takes no options
+    for argv in (["train-metamarket", "--w-s", "0"], ["train-metamarket", "--tag", "_ws0"],
+                 ["calibrate", "--method", "calisim", "--tag", "_ws0"],
+                 ["hypothesize", "--day", "0", "--tag", "_ws0"], ["pipeline", "--seed", "1"]):
+        assert main(["--out", str(tmp_path), *argv]) == 2, argv
 
 
 def test_cli_missing_input_exits_1(tmp_path, capsys):

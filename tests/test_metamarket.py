@@ -233,13 +233,13 @@ def make_corpus(n_days=WINDOW_DAYS + 4, seed=10):
 def test_train_rejects_short_corpus():
     k = make_k()
     with pytest.raises(ValueError, match="at least"):
-        train(k, make_corpus(WINDOW_DAYS), make_surrogate(), epochs=1)
+        train(k, make_corpus(WINDOW_DAYS), make_surrogate(), w_t=0.1, w_s=1.0, epochs=1)
 
 
 def test_train_logs_and_restores_surrogate_flags():
     k = make_k()
     net = make_surrogate()
-    curves = train(k, make_corpus(), net, epochs=3, seed=0)
+    curves = train(k, make_corpus(), net, w_t=0.1, w_s=1.0, epochs=3, seed=0)
     assert len(curves.recon) == 4 and len(curves.variation) == 4  # epoch 0 + 3
     assert all(np.isfinite(curves.recon)) and all(np.isfinite(curves.variation))
     assert all(p.requires_grad for p in net.params())
@@ -255,8 +255,8 @@ def test_train_pure_reproduction_configuration():
 
 
 def test_train_deterministic():
-    c1 = train(make_k(), make_corpus(), make_surrogate(), epochs=3, seed=5)
-    c2 = train(make_k(), make_corpus(), make_surrogate(), epochs=3, seed=5)
+    c1 = train(make_k(), make_corpus(), make_surrogate(), w_t=0.1, w_s=1.0, epochs=3, seed=5)
+    c2 = train(make_k(), make_corpus(), make_surrogate(), w_t=0.1, w_s=1.0, epochs=3, seed=5)
     assert c1.recon == c2.recon and c1.variation == c2.variation
 
 
@@ -272,7 +272,8 @@ def test_train_runs_the_extractor_once_per_epoch(monkeypatch, epochs):
         return run(self, xs)
 
     monkeypatch.setattr(nn.StackedLSTM, "run", counted)
-    curves = train(make_k(), make_corpus(), make_surrogate(), epochs=epochs, seed=0)
+    curves = train(make_k(), make_corpus(), make_surrogate(), w_t=0.1, w_s=1.0,
+                   epochs=epochs, seed=0)
     assert len(calls) == epochs + 1
     assert len(curves.recon) == len(curves.variation) == epochs + 1
 
@@ -285,12 +286,12 @@ def test_train_log_is_the_forward_of_each_epochs_parameters():
     expected = []
     for epochs in range(3):
         k = make_k()
-        train(k, corpus, net, epochs=epochs, seed=0)
+        train(k, corpus, net, w_t=0.1, w_s=1.0, epochs=epochs, seed=0)
         with ad.no_grad():
             b = k.forward(wins, states).data
         expected.append(float(np.mean([np.sum((net.predict(b[i], funds[i]) - targets[i]) ** 2)
                                        for i in range(len(b))])))
-    assert train(make_k(), corpus, net, epochs=2, seed=0).recon == expected
+    assert train(make_k(), corpus, net, w_t=0.1, w_s=1.0, epochs=2, seed=0).recon == expected
 
 
 def test_stacked_predict_matches_per_row_bitwise():
@@ -313,19 +314,19 @@ def test_train_counts_skipped_steps_and_gives_up(monkeypatch):
     MAX_SKIPPED_IN_ROW of them in a row end the run naming the epoch."""
     results = iter([False, True] * 3)
     monkeypatch.setattr(ad.Adam, "step", lambda self: next(results))
-    curves = train(make_k(), make_corpus(), make_surrogate(), epochs=6, seed=0)
+    curves = train(make_k(), make_corpus(), make_surrogate(), w_t=0.1, w_s=1.0, epochs=6, seed=0)
     assert curves.skipped_steps == 3
     monkeypatch.setattr(ad.Adam, "step", lambda self: False)
     with pytest.raises(FloatingPointError, match=f"epoch {ad.MAX_SKIPPED_IN_ROW}$"):
         train(make_k(), make_corpus(), make_surrogate(),
-              epochs=ad.MAX_SKIPPED_IN_ROW + 5, seed=0)
+              w_t=0.1, w_s=1.0, epochs=ad.MAX_SKIPPED_IN_ROW + 5, seed=0)
 
 
 def test_surrogate_frozen_during_training():
     k = make_k()
     net = make_surrogate()
     before = {p.name: p.data.copy() for p in net.params()}
-    train(k, make_corpus(), net, epochs=3, seed=0)
+    train(k, make_corpus(), net, w_t=0.1, w_s=1.0, epochs=3, seed=0)
     for p in net.params():
         assert np.array_equal(p.data, before[p.name]), p.name
 
