@@ -434,6 +434,7 @@ def test_cli_pipeline_runs_the_stagewise_run_plus_the_ablation_arm(cli_pipeline)
     got = _digests(out)
     arm = {"metamarket_ws0.ck", "metamarket_ws0_curves.csv", "calibration_calisim_ws0.csv"}
     assert set(got) == set(TINY_GOLDEN) | arm
+    assert got["metamarket_ws0.ck"] != got["metamarket.ck"]
     for name, digest in TINY_GOLDEN.items():
         if name in EVAL_TABLES:
             lines = (out / name).read_bytes().splitlines(keepends=True)
