@@ -2,7 +2,9 @@
 
 Everything trainable in this project (surrogate net, recurrent feature
 extractor, hypernetwork) runs on this core: float64 tensors, a tape of
-recorded operations, and a backward pass that accumulates gradients.
+recorded operations, and a backward pass that accumulates gradients and
+consumes the tape it walks, so a training step's graph is freed once its
+gradients are in, even while the loss and other outputs are still held.
 """
 
 from __future__ import annotations
@@ -27,6 +29,10 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = prev
+
+
+def _consumed(g):
+    raise RuntimeError("backward() through a graph that an earlier backward() consumed")
 
 
 class Tensor:
@@ -67,7 +73,12 @@ class Tensor:
 
     # -- graph plumbing --------------------------------------------------------
     def backward(self):
-        """Accumulate gradients of this scalar tensor into every parameter."""
+        """Accumulate gradients of this scalar tensor into every parameter.
+
+        Consumes the graph: every recorded node it walks loses its parents
+        and its backward closure, so only the `.data` of tensors still held
+        outlives the call. A second backward through any of them raises
+        RuntimeError instead of adding nothing."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
         # Tensors hash by identity, so they key the sets and dicts directly
@@ -88,14 +99,17 @@ class Tensor:
                     stack.append((p, False))
         grads: dict[Tensor, np.ndarray] = {self: np.ones_like(self.data)}
         for node in reversed(topo):
+            back, parents = node._backward, node._parents
+            if back is not None:
+                node._backward, node._parents = _consumed, ()
             g = grads.pop(node, None)
             if g is None:
                 continue
             if node.requires_grad:
                 node.grad += g
-            if node._backward is None:
+            if back is None:
                 continue
-            for parent, pg in zip(node._parents, node._backward(g)):
+            for parent, pg in zip(parents, back(g)):
                 if pg is None:
                     continue
                 acc = grads.get(parent)

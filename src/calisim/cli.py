@@ -48,7 +48,8 @@ def _parser() -> argparse.ArgumentParser:
 
     c = subs.add_parser("calibrate", help="calibrate every test day")
     c.add_argument("--method", choices=harness.METHODS, required=True)
-    c.add_argument("--seed", type=int, default=0, help="search seed (baselines)")
+    c.add_argument("--seed", type=int, default=None,
+                   help="search seed (baselines only; default 0)")
     c.add_argument("--ablation", action="store_true",
                    help="calibrate with the ablation arm (calisim only)")
 
@@ -133,7 +134,9 @@ def _dispatch(args, cfg: dict) -> int:
         return 0
 
     if args.command == "calibrate":
-        path = harness.stage_calibrate(cfg, out, args.method, seed=args.seed,
+        if args.method == "calisim" and args.seed is not None:
+            raise ConfigError("config field seed: calisim has no search seed")
+        path = harness.stage_calibrate(cfg, out, args.method, seed=args.seed or 0,
                                        ablation=args.ablation)
         calls = harness.read_manifest(out)["sim_calls"]
         key = path.stem.removeprefix("calibration_")

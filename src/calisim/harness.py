@@ -7,6 +7,8 @@ with a manifest.
 
 from __future__ import annotations
 
+import fcntl
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -118,18 +120,40 @@ def _manifest_path(out_dir: Path) -> Path:
 
 
 def read_manifest(out_dir: Path) -> dict:
+    """The run's manifest, {} before any stage has written one. An empty or
+    unparsable file raises ValueError naming it: the digest checks read
+    their expected values from here and must not pass on a missing one."""
     p = _manifest_path(out_dir)
     if not p.exists():
         return {}
-    with open(p) as f:
-        return yaml.load(f, Loader=_MANIFEST_LOADER) or {}
+    try:
+        with open(p) as f:
+            man = yaml.load(f, Loader=_MANIFEST_LOADER)
+    except yaml.YAMLError:
+        man = None
+    if not isinstance(man, dict):
+        raise ValueError(f"{p}: empty or not a YAML mapping")
+    return man
 
 
 def update_manifest(out_dir: Path, **entries):
-    man = read_manifest(out_dir)
-    man.update(entries)
-    with open(_manifest_path(out_dir), "w") as f:
-        yaml.dump(man, f, Dumper=_MANIFEST_DUMPER, sort_keys=False)
+    """Merge `entries` into the manifest. The read-modify-write holds an
+    exclusive flock on the run directory (not on a file in it, which the
+    run's artifacts would then include), and the new text replaces the old
+    in one rename, so concurrent stages lose no keys and readers never see
+    a half-written file."""
+    p = _manifest_path(out_dir)
+    tmp = p.with_name(".manifest.yaml.tmp")
+    fd = os.open(out_dir, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        man = read_manifest(out_dir)
+        man.update(entries)
+        with open(tmp, "w") as f:
+            yaml.dump(man, f, Dumper=_MANIFEST_DUMPER, sort_keys=False)
+        os.replace(tmp, p)
+    finally:
+        os.close(fd)  # releases the lock
 
 
 # -- stages ----------------------------------------------------------------------------

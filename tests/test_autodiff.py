@@ -1,6 +1,8 @@
 """Autodiff core: finite-difference gradient checks for every building
 block, Adam closed-form behavior, and checkpoint serialization."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -327,6 +329,38 @@ def test_detach_blocks_gradient():
     loss = ad.sum_squares(p.detach())
     loss.backward()
     assert np.array_equal(p.grad, np.zeros(2))
+
+
+def test_backward_frees_the_graph_while_the_loss_is_held():
+    """Once backward returns, an intermediate that only the graph held is
+    gone, though the loss built from it is still referenced."""
+    p = ad.parameter([2.0, -1.0], "p")
+    h = ad.sigmoid(ad.mul(p, 3.0))
+    alive = weakref.ref(h.data)   # Tensor has __slots__; its array takes a weakref
+    loss = ad.sum_squares(h)
+    del h
+    loss.backward()
+    assert alive() is None
+    assert loss.data.size == 1 and loss._parents == ()
+
+
+def test_second_backward_raises_and_leaves_grads():
+    p = ad.parameter([2.0, -1.0], "p")
+    loss = ad.sum_squares(ad.mul(p, 3.0))
+    loss.backward()
+    first = p.grad.copy()
+    with pytest.raises(RuntimeError, match="consumed"):
+        loss.backward()
+    assert np.array_equal(p.grad, first)
+
+
+def test_consumed_intermediate_in_a_new_graph_raises():
+    p = ad.parameter([2.0, -1.0], "p")
+    h = ad.mul(p, 3.0)
+    ad.sum_squares(h).backward()
+    loss = ad.sum_squares(ad.add(h, 1.0))
+    with pytest.raises(RuntimeError, match="consumed"):
+        loss.backward()
 
 
 def test_backward_requires_a_scalar():

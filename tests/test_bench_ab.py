@@ -53,3 +53,17 @@ def test_change_beyond_its_bound_is_flagged():
     assert (s["change_wins"], s["verdict"]) == (1, "worse")
     assert s["median_change_pct"] > 25.0
     assert (s["bound_pct"], s["within_bound"]) == (25.0, False)
+
+
+def test_rusage_medians_per_workload_and_side():
+    runs = _pairs()
+    for i, r in enumerate(runs):
+        r["rusage"] = {"minflt": 1000 * (i % 2) + i, "utime_s": 0.5 * i, "stime_s": 0.1}
+    runs += [{**runs[j], "workload": "train",
+              "rusage": {"minflt": 7 + j, "utime_s": 1.0, "stime_s": 0.0}} for j in (0, 1)]
+    medians = bench_ab.rusage_medians(runs)
+    assert set(medians) == {"dataset", "train"}
+    # parents are the even runs 0..18, changes the odd runs 1..19
+    assert medians["dataset"]["parent"] == {"minflt": 9, "utime_s": 4.5, "stime_s": 0.1}
+    assert medians["dataset"]["change"] == {"minflt": 1010, "utime_s": 5.0, "stime_s": 0.1}
+    assert medians["train"]["change"] == {"minflt": 8, "utime_s": 1.0, "stime_s": 0.0}

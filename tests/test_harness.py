@@ -120,6 +120,42 @@ def test_manifest_roundtrip(tmp_path):
     assert read_manifest(tmp_path) == {"a": 1, "b": "x"}
 
 
+@pytest.mark.parametrize("text", ["", "- 1\n- 2\n", "a: [1\n"])
+def test_read_manifest_refuses_an_empty_or_non_mapping_file(tmp_path, text):
+    (tmp_path / "manifest.yaml").write_text(text)
+    with pytest.raises(ValueError, match="manifest.yaml: empty or not a YAML mapping"):
+        read_manifest(tmp_path)
+
+
+_UPDATER = """
+import sys, time
+from pathlib import Path
+from calisim.harness import update_manifest
+run, go, tag = Path(sys.argv[1]), Path(sys.argv[2]), sys.argv[3]
+while not go.exists():
+    time.sleep(0.001)
+for i in range(200):
+    update_manifest(run, **{f"{tag}{i}": i})
+"""
+
+
+def test_concurrent_manifest_updates_keep_every_key(tmp_path):
+    """Two processes updating one run directory at once: the lock keeps
+    every key, and the rename leaves a parsable file."""
+    run, go = tmp_path / "run", tmp_path / "go"
+    run.mkdir()
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    procs = [subprocess.Popen([sys.executable, "-c", _UPDATER, str(run), str(go), tag],
+                              env=env, stderr=subprocess.PIPE, text=True)
+             for tag in ("a", "b")]
+    go.touch()
+    for proc in procs:
+        assert proc.wait(timeout=120) == 0, proc.stderr.read()
+    man = read_manifest(run)
+    assert man == {f"{tag}{i}": i for tag in ("a", "b") for i in range(200)}
+    assert [p.name for p in run.iterdir()] == ["manifest.yaml"]
+
+
 @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
 def test_manifest_libyaml_matches_pure_python(pipeline):
     """A host with libyaml and one without read the same dict from a full
@@ -490,6 +526,16 @@ def test_cli_ablation_of_a_search_baseline_exits_1(tmp_path, capsys):
     assert main(["--out", str(tmp_path), "calibrate", "--method", "randsearch",
                  "--ablation"]) == 1
     assert "config field ablation: randsearch has no ablation arm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["0", "5"])
+def test_cli_seed_of_calisim_exits_1(tmp_path, capsys, seed):
+    """The one-shot calibrator has no search seed; a given one is refused,
+    not ignored, and no calibration file is written."""
+    assert main(["--out", str(tmp_path), "calibrate", "--method", "calisim",
+                 "--seed", seed]) == 1
+    assert "config field seed: calisim has no search seed" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_readme_cli_lines_parse():

@@ -1,6 +1,8 @@
 """One-shot calibrator: hypernetwork wiring, the three losses (including
 selective gradient flow), training machinery, and persistence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -292,6 +294,22 @@ def test_train_log_is_the_forward_of_each_epochs_parameters():
         expected.append(float(np.mean([np.sum((net.predict(b[i], funds[i]) - targets[i]) ** 2)
                                        for i in range(len(b))])))
     assert train(make_k(), corpus, net, w_t=0.1, w_s=1.0, epochs=2, seed=0).recon == expected
+
+
+def test_train_holds_one_epochs_graph():
+    """backward consumes each epoch's graph, so the traced peak of training
+    does not grow with the epochs: the next epoch never builds its graph
+    while the last one is still alive."""
+    def peak(epochs):
+        k, net, corpus = make_k(), make_surrogate(), make_corpus(WINDOW_DAYS + 40)
+        tracemalloc.start()
+        try:
+            train(k, corpus, net, w_t=0.1, w_s=1.0, epochs=epochs, seed=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4) <= 1.1 * peak(1)
 
 
 def test_stacked_predict_matches_per_row_bitwise():

@@ -20,12 +20,15 @@ end-to-end metric of the change's BENCHMARK.json, the pairs the change
 won (lower is better for all three), both sides' quartiles, the median
 change, both sides' failed checks and whether the change's median is
 within the metric's `bound` (a fraction of the parent's median) above
-the parent's. A metric's verdict is "better" when the change wins at least 9
-pairs in 10 and the medians differ by more than the parent's quartile
-spread, "worse" for the mirror image, and "unresolved" otherwise; it is
-never "better" when a change run reports `correct: false` or the change's
-share of failed operations is above the parent's, and then the driver
-exits 1. It also exits 1 when a digest differs or a metric is not within
+the parent's. Each raw run also records its process's minor page faults
+and user and system CPU seconds (`getrusage` of the children, taken
+around the run), and the report gives their per-side medians per
+workload; they explain a verdict and are not one. A metric's verdict is
+"better" when the change wins at least 9 pairs in 10 and the medians
+differ by more than the parent's quartile spread, "worse" for the mirror
+image, and "unresolved" otherwise; it is never "better" when a change
+run reports `correct: false` or the change's share of failed operations
+is above the parent's, and then the driver exits 1. It also exits 1 when a digest differs or a metric is not within
 its bound. Runs are sequential, one process at a time; on a shared 2-vCPU
 Xeon VM, 10 pairs of all three workloads with the digest checks took 18
 minutes, 10 pairs of calibrate alone 6 and of train alone 7.
@@ -38,6 +41,7 @@ import json
 import os
 import platform
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -50,6 +54,8 @@ WORKLOADS = ("dataset", "calibrate", "train")
 DIGEST_SEEDS = (1, 2, 424242)
 PAIRS = 10          # the fewest pairs with which a 9-in-10 verdict can be given
 SIDES = ("parent", "change")
+# each run's share of the children's getrusage totals, stored as these keys
+RUSAGE_FIELDS = {"minflt": "ru_minflt", "utime_s": "ru_utime", "stime_s": "ru_stime"}
 
 
 def _git(*args: str) -> str:
@@ -68,14 +74,33 @@ def _export(rev: str, dest: Path):
 def _run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     cmd = ["python3", "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
                            f"{proc.stderr[-2000:]}")
     lines = proc.stdout.strip().splitlines()
     digest = next((m.group(1) for m in map(re.compile(r"^digest (\S+)$").match, lines) if m),
                   None)
-    return {"command": " ".join(cmd), "digest": digest, "result": json.loads(lines[-1])}
+    # runs are sequential, so the children's totals grew by this run alone
+    rusage = {key: round(getattr(after, field) - getattr(before, field), 3)
+              for key, field in RUSAGE_FIELDS.items()}
+    return {"command": " ".join(cmd), "digest": digest, "rusage": rusage,
+            "result": json.loads(lines[-1])}
+
+
+def rusage_medians(pairs: list[dict]) -> dict:
+    """Per workload and side, the median of each run's minor page faults and
+    CPU seconds: what a footprint or speed change trades, not a verdict."""
+    out = {}
+    for workload in WORKLOADS:
+        runs = [r for r in pairs if r["workload"] == workload]
+        if runs:
+            out[workload] = {side: {key: median(r["rusage"][key] for r in runs
+                                                if r["side"] == side)
+                                    for key in RUSAGE_FIELDS} for side in SIDES}
+    return out
 
 
 def _quartiles(values: list[float]) -> list[float]:
@@ -185,8 +210,8 @@ def main(argv=None) -> int:
                     pairs.append({"workload": workload, "seed": seed, "side": side,
                                   "pair": i, **run})
                     ms = run["result"]["metrics"]["ms_per_op"]["value"]
-                    print(f"{workload} pair {i} seed {seed} {side}: ms_per_op {ms:.2f}",
-                          file=sys.stderr)
+                    print(f"{workload} pair {i} seed {seed} {side}: ms_per_op {ms:.2f}, "
+                          f"minor faults {run['rusage']['minflt']}", file=sys.stderr)
             for seed in DIGEST_SEEDS:
                 for side in SIDES:
                     run = _run(checkouts[side], workload, seed, 1)
@@ -216,6 +241,7 @@ def main(argv=None) -> int:
             "all_equal": digests_equal,
         },
         "summary": summarize(pairs, bounds),
+        "child_rusage_medians": rusage_medians(pairs),
         "wall_s": round(time.perf_counter() - t0, 1),
         "pairs": pairs,
     }
