@@ -150,7 +150,8 @@ def test_concurrent_manifest_updates_keep_every_key(tmp_path):
              for tag in ("a", "b")]
     go.touch()
     for proc in procs:
-        assert proc.wait(timeout=120) == 0, proc.stderr.read()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
     man = read_manifest(run)
     assert man == {f"{tag}{i}": i for tag in ("a", "b") for i in range(200)}
     assert [p.name for p in run.iterdir()] == ["manifest.yaml"]

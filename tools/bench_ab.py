@@ -97,8 +97,8 @@ def rusage_medians(pairs: list[dict]) -> dict:
     for workload in WORKLOADS:
         runs = [r for r in pairs if r["workload"] == workload]
         if runs:
-            out[workload] = {side: {key: median(r["rusage"][key] for r in runs
-                                                if r["side"] == side)
+            out[workload] = {side: {key: round(median(r["rusage"][key] for r in runs
+                                                      if r["side"] == side), 3)
                                     for key in RUSAGE_FIELDS} for side in SIDES}
     return out
 
