@@ -16,19 +16,20 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-_GRAD_ENABLED = True
-
 
 @contextmanager
-def no_grad():
-    """Disable tape recording; forward values are unaffected."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+def frozen(params: Iterable[Tensor]):
+    """Hold `params` out of the graph: `requires_grad` is False inside the
+    block and back to each one's earlier flag on exit. A forward over frozen
+    parameters and constant inputs records nothing and has the same values."""
+    prev = [(p, p.requires_grad) for p in params]
+    for p, _ in prev:
+        p.requires_grad = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        for p, flag in prev:
+            p.requires_grad = flag
 
 
 def _consumed(g):
@@ -132,15 +133,13 @@ def parameter(data, name: str) -> Tensor:
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
-    """A new tensor that joins the graph when recording is on and some parent
-    is a parameter or was itself recorded."""
+    """A new tensor that joins the graph when a parent requires a gradient or was recorded."""
     out = Tensor(data)
-    if _GRAD_ENABLED:
-        for p in parents:
-            if p.requires_grad or p._backward is not None:
-                out._parents = parents
-                out._backward = backward
-                break
+    for p in parents:
+        if p.requires_grad or p._backward is not None:
+            out._parents = parents
+            out._backward = backward
+            break
     return out
 
 
@@ -456,25 +455,24 @@ def grad_check(loss_fn: Callable[[], Tensor], params: Sequence[Tensor],
     loss.backward()
     analytic = [p.grad.copy() for p in params]
     worst = 0.0
-    for p, ga in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        gflat = ga.reshape(-1)
-        n = flat.size
-        picks = (np.arange(n) if n <= max_entries
-                 else np.argsort(np.abs(gflat))[-max_entries:])
-        for i in picks:
-            orig = flat[i]
-            step = h * max(1.0, abs(orig))
-            flat[i] = orig + step
-            with no_grad():
+    with frozen(params):
+        for p, ga in zip(params, analytic):
+            flat = p.data.reshape(-1)
+            gflat = ga.reshape(-1)
+            n = flat.size
+            picks = (np.arange(n) if n <= max_entries
+                     else np.argsort(np.abs(gflat))[-max_entries:])
+            for i in picks:
+                orig = flat[i]
+                step = h * max(1.0, abs(orig))
+                flat[i] = orig + step
                 up = loss_fn().item()
-            flat[i] = orig - step
-            with no_grad():
+                flat[i] = orig - step
                 dn = loss_fn().item()
-            flat[i] = orig
-            numeric = (up - dn) / (2.0 * step)
-            denom = max(abs(numeric), abs(gflat[i]), 1e-8)
-            worst = max(worst, abs(numeric - gflat[i]) / denom)
+                flat[i] = orig
+                numeric = (up - dn) / (2.0 * step)
+                denom = max(abs(numeric), abs(gflat[i]), 1e-8)
+                worst = max(worst, abs(numeric - gflat[i]) / denom)
     return worst
 
 

@@ -44,7 +44,7 @@ class DayScore:
         return feat.reconstruction_error_z(self.norm.transform(q), self.target_z)
 
 
-def random_search(score: Callable[[BehaviorVector, int], float], trials: int = 10,
+def random_search(score: Callable[[BehaviorVector, int], float], trials: int,
                   seed: int = 0) -> tuple[BehaviorVector, float]:
     """Uniform candidates in normalized space; argmin of `score`, called
     exactly `trials` times."""
@@ -144,7 +144,7 @@ def expected_improvement(mu: np.ndarray, var: np.ndarray, best: float) -> np.nda
     return np.maximum(ei, 0.0)
 
 
-def bayes_opt(score: Callable[[BehaviorVector, int], float], trials: int = 10,
+def bayes_opt(score: Callable[[BehaviorVector, int], float], trials: int,
               seed: int = 0) -> tuple[BehaviorVector, float]:
     """3 uniform warm starts, then EI-guided evaluations up to `trials`
     calls of `score` in total; returns the best observed candidate."""

@@ -136,10 +136,10 @@ def _dispatch(args, cfg: dict) -> int:
     if args.command == "calibrate":
         if args.method == "calisim" and args.seed is not None:
             raise ConfigError("config field seed: calisim has no search seed")
-        path = harness.stage_calibrate(cfg, out, args.method, seed=args.seed or 0,
-                                       ablation=args.ablation)
+        seed = args.seed or 0
+        path = harness.stage_calibrate(cfg, out, args.method, seed=seed, ablation=args.ablation)
         calls = harness.read_manifest(out)["sim_calls"]
-        key = path.stem.removeprefix("calibration_")
+        key = harness.calibration_key(args.method, seed, args.ablation)
         print(f"calibration -> {path} (simulator calls: {calls[key]['total']})")
         return 0
 

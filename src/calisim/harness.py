@@ -137,7 +137,8 @@ def read_manifest(out_dir: Path) -> dict:
 
 
 def update_manifest(out_dir: Path, **entries):
-    """Merge `entries` into the manifest. The read-modify-write holds an
+    """Merge `entries` into the manifest, a mapping into the one stored
+    under its key (one level deep). The read-modify-write holds an
     exclusive flock on the run directory (not on a file in it, which the
     run's artifacts would then include), and the new text replaces the old
     in one rename, so concurrent stages lose no keys and readers never see
@@ -148,7 +149,9 @@ def update_manifest(out_dir: Path, **entries):
     try:
         fcntl.flock(fd, fcntl.LOCK_EX)
         man = read_manifest(out_dir)
-        man.update(entries)
+        for key, val in entries.items():
+            old = man.get(key)
+            man[key] = {**old, **val} if isinstance(val, dict) and isinstance(old, dict) else val
         with open(tmp, "w") as f:
             yaml.dump(man, f, Dumper=_MANIFEST_DUMPER, sort_keys=False)
         os.replace(tmp, p)
@@ -202,6 +205,13 @@ def _checkpoint(out_dir: Path, key: str, what: str, stage: str) -> Path:
 def _load_surrogate(out_dir: Path) -> sur.SurrogateNet:
     return sur.SurrogateNet.load(
         _checkpoint(out_dir, "surrogate", "surrogate", "train-surrogate"))
+
+
+def calibration_key(method: str, seed: int, ablation: bool) -> str:
+    """A calibration's `sim_calls` key, and its file `calibration_<key>.csv`."""
+    if method == "calisim":
+        return ABLATION if ablation else method
+    return f"{method}_seed{seed}"
 
 
 def _metamarket_key(ablation: bool) -> str:
@@ -322,21 +332,17 @@ def stage_calibrate(cfg: dict, out_dir: Path, method: str, seed: int = 0,
     t0 = time.perf_counter()
     out_dir = Path(out_dir)
     bench = bench or _load_benchmark(out_dir)
+    key = calibration_key(method, seed, ablation)
     if method == "calisim":
-        rows = calibrate_calisim(bench, _load_metamarket(out_dir, ablation))
-        calls = 0
-        source = key = ABLATION if ablation else "calisim"
+        rows, calls = calibrate_calisim(bench, _load_metamarket(out_dir, ablation)), 0
     else:
         rows, calls = calibrate_baseline(bench, method, _load_surrogate(out_dir),
                                          trials=cfg["baselines"]["trials"], seed=seed)
-        source, key = method, f"{method}_seed{seed}"
+    source = key if method == "calisim" else method
     path = out_dir / f"calibration_{key}.csv"
     mm.write_calibration(path, [(day, b, source) for day, b in rows])
-    man = read_manifest(out_dir)
-    counters = man.get("sim_calls", {})
-    counters[key] = {"total": calls, "days": len(rows),
-                     "per_day": calls / max(len(rows), 1)}
-    update_manifest(out_dir, sim_calls=counters,
+    update_manifest(out_dir, sim_calls={key: {"total": calls, "days": len(rows),
+                                              "per_day": calls / max(len(rows), 1)}},
                     **{f"calibrate_{key}_wall_s": time.perf_counter() - t0})
     return path
 
@@ -368,17 +374,19 @@ class MethodEval:
     sim_calls: int           # simulated days spent scoring
 
 
-def _collect_calibrations(out_dir: Path, source: str,
-                          days: list[int]) -> list[dict[int, BehaviorVector]]:
-    """All per-seed calibration maps for one method (one map for calisim).
-    Each file must calibrate every one of `days`; one that does not raises
-    ValueError naming the file and the missing days."""
-    out_dir = Path(out_dir)
-    single = out_dir / f"calibration_{source}.csv"
-    paths = [single] if single.exists() else []
-    paths += sorted(out_dir.glob(f"calibration_{source}_seed*.csv"))
-    out = []
-    for p in paths:
+def _collect_calibrations(out_dir: Path, source: str, seeds: list[int],
+                          days: list[int]) -> dict[str, dict[int, BehaviorVector]]:
+    """One source's calibration maps by key: a search baseline's at each of
+    `seeds`, one map otherwise; a key without a file is skipped. Each file
+    must calibrate every one of `days`; one that does not raises ValueError
+    naming the file and the missing days."""
+    keys = ([calibration_key(source, seed, False) for seed in seeds]
+            if source in METHODS[1:] else [source])
+    out = {}
+    for key in keys:
+        p = Path(out_dir) / f"calibration_{key}.csv"
+        if not p.exists():
+            continue
         cal = mm.read_calibration(p).get(source)
         if cal is None:
             raise ValueError(f"{p}: no rows of source {source}")
@@ -386,7 +394,7 @@ def _collect_calibrations(out_dir: Path, source: str,
         if missing:
             raise ValueError(f"{p}: no {source} calibration for test "
                              f"day(s) {', '.join(map(str, missing))}")
-        out.append(cal)
+        out[key] = cal
     return out
 
 
@@ -424,13 +432,13 @@ def stage_evaluate(cfg: dict, out_dir: Path, bench: Benchmark | None = None) -> 
     bench = bench or _load_benchmark(out_dir)
     net = _load_surrogate(out_dir)
 
-    # every calibration file is read and checked before any day is scored
+    # every calibration file of the config's seeds is checked before any day is scored
     test_days = [d.day for d in bench.test_days]
-    cals = {source: _collect_calibrations(out_dir, source, test_days)
+    cals = {source: _collect_calibrations(out_dir, source, cfg["baselines"]["seeds"], test_days)
             for source in (*METHODS, ABLATION)}
     # Ground truth as a reference method: its reconstruction error is the
     # simulator's seed-to-seed feature noise floor.
-    cals["ground_truth"] = [{d.day: d.b_star for d in bench.test_days}]
+    cals["ground_truth"] = {"ground_truth": {d.day: d.b_star for d in bench.test_days}}
     mm.write_calibration(out_dir / "calibration_ground_truth.csv",
                          [(d.day, d.b_star, "ground_truth") for d in bench.test_days])
 
@@ -439,7 +447,7 @@ def stage_evaluate(cfg: dict, out_dir: Path, bench: Benchmark | None = None) -> 
         raise FileNotFoundError(
             f"no calibration outputs found in {out_dir}; run calibrate first "
             f"(missing: {', '.join(missing)})")
-    evals = {source: _eval_method(bench, c, net, cfg["evaluate"]["eval_seeds"])
+    evals = {source: _eval_method(bench, list(c.values()), net, cfg["evaluate"]["eval_seeds"])
              for source, c in cals.items() if c}
 
     report_dir = out_dir / "evaluation"
@@ -461,7 +469,8 @@ def stage_evaluate(cfg: dict, out_dir: Path, bench: Benchmark | None = None) -> 
                     STATE_NAMES[i]: float(e.corr[i].mean())
                     for i in range(len(STATE_NAMES))}}
             for s, e in evals.items()},
-        "sim_calls": man.get("sim_calls", {}),
+        "sim_calls": {key: calls for key, calls in man.get("sim_calls", {}).items()
+                      if any(key in c for c in cals.values())},
         "reference_mean_abs_rho": REFERENCE_MEAN_ABS_RHO,
     }
     with open(report_dir / "summary.yaml", "w") as f:

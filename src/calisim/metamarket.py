@@ -113,7 +113,7 @@ class MetaMarket:
         state: zero simulator calls. Days are run as batches of one: a larger
         batch changes the floating-point sums, so it would not reproduce
         these results bit for bit."""
-        with ad.no_grad():
+        with ad.frozen(self.params()):
             b_norm = self.forward(np.asarray(window, dtype=float)[None],
                                   np.asarray(x_z, dtype=float)[None]).data
         return BehaviorVector.from_normalized(b_norm[0])
@@ -248,10 +248,6 @@ def train(k: MetaMarket, corpus: list[DayRecord], surrogate: SurrogateNet,
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x3E]))
     wins, states, funds, targets = _windows(corpus)
     n = len(wins)
-    frozen = [p for p in surrogate.params() if p.requires_grad]
-    for p in frozen:
-        p.requires_grad = False
-        p.grad = None
     opt = ad.Adam(k.params(), lr=lr)
     curves = MetaCurves()
 
@@ -265,7 +261,7 @@ def train(k: MetaMarket, corpus: list[DayRecord], surrogate: SurrogateNet,
         curves.variation.append(float(var))
 
     skipped = ad.SkippedSteps("calibrator")
-    try:
+    with ad.frozen(surrogate.params()):
         for epoch in range(1, epochs + 1):
             opt.zero_grad()
             u = k.implicit(wins)
@@ -282,13 +278,9 @@ def train(k: MetaMarket, corpus: list[DayRecord], surrogate: SurrogateNet,
                     f"recon so far {curves.recon[-1]:.4g}")
             loss.backward()
             skipped.record(opt.step(), epoch)
-        with ad.no_grad():
-            log_epoch(k.forward(wins, states).data)
-        curves.skipped_steps = skipped.total
-    finally:
-        for p in frozen:
-            p.requires_grad = True
-            p.grad = np.zeros_like(p.data)
+    with ad.frozen(k.params()):
+        log_epoch(k.forward(wins, states).data)
+    curves.skipped_steps = skipped.total
     return curves
 
 

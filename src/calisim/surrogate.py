@@ -63,7 +63,7 @@ class SurrogateNet:
         b_norm = np.asarray(b_norm, dtype=float)
         if np.any(b_norm < 0) or np.any(b_norm > 1):
             b_norm = np.clip(b_norm, 0.0, 1.0)
-        with ad.no_grad():
+        with ad.frozen(self.params()):
             return self.forward(Tensor(b_norm), Tensor(fund_norm)).data
 
     # -- persistence -------------------------------------------------------
@@ -167,7 +167,7 @@ def train_surrogate(ds: SurrogateDataset, epochs: int, lr: float = 1e-3,
     opt = ad.Adam(net.params(), lr=lr)
 
     def eval_loss(b, f, q) -> float:
-        with ad.no_grad():
+        with ad.frozen(net.params()):
             return _batch_loss(net, b, f, q).item()
 
     curves = TrainCurves([eval_loss(tb, tf, tq)], [eval_loss(vb, vf, vq)], 0)

@@ -86,7 +86,7 @@ def _composite_rel_err(seed: int) -> float:
                            states + rng.normal(0, 2.0, (3, 5)))
     # the state-consistency loss detaches the implicit feature, so the
     # finite-difference oracle must hold it fixed inside that term
-    with ad.no_grad():
+    with ad.frozen(k.theta1_params()):
         u_fixed = Tensor(k.implicit(wins).data.copy())
 
     def stat_term():

@@ -117,13 +117,39 @@ def test_index_rejects_non_basic_index(idx):
         ad.parameter(np.zeros((3, 3)), "a")[idx]
 
 
-def test_no_grad_records_nothing():
+def test_frozen_forward_records_nothing():
+    """A forward over frozen parameters and constant inputs records no node,
+    and gives the values of a recording forward."""
+    rng = np.random.default_rng(1)
+    layer = nn.Affine(3, 2, rng, "a")
     p = ad.parameter([1.0, 2.0], "p")
-    with ad.no_grad():
+    x = Tensor(rng.normal(size=(4, 3)))
+    with ad.frozen([p, *layer.params()]):
         out = ad.mul(ad.add(p, 1.0), p)
+        h = ad.relu(layer(x))
     assert out._backward is None and out._parents == ()
+    assert h._backward is None and h._parents == ()
     assert ad.add(out, 1.0)._backward is None      # no parameter upstream
     assert ad.add(p, 1.0)._parents[0] is p
+    assert _same_bits(h.data, ad.relu(layer(x)).data)
+
+
+def test_frozen_restores_each_flag():
+    """Each parameter gets back the flag it had on entry: on a normal exit,
+    on an exception, and when frozen blocks nest."""
+    p, q = ad.parameter([1.0], "p"), Tensor([2.0])
+    with ad.frozen([p, q]):
+        assert not p.requires_grad and not q.requires_grad
+    assert p.requires_grad and not q.requires_grad
+    with pytest.raises(KeyError):
+        with ad.frozen([p]):
+            raise KeyError("inside")
+    assert p.requires_grad
+    with ad.frozen([p]):
+        with ad.frozen([p]):
+            assert not p.requires_grad
+        assert not p.requires_grad
+    assert p.requires_grad
 
 
 def test_lstm_zero_weights_gives_zero_hidden():
@@ -319,7 +345,7 @@ def test_forward_identical_with_and_without_tape():
     net = nn.Affine(4, 4, rng, "a")
     x = Tensor(rng.normal(size=4))
     with_tape = ad.sum_squares(net(ad.relu(x))).item()
-    with ad.no_grad():
+    with ad.frozen(net.params()):
         without = ad.sum_squares(net(ad.relu(x))).item()
     assert with_tape == without
 

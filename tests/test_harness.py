@@ -131,30 +131,54 @@ _UPDATER = """
 import sys, time
 from pathlib import Path
 from calisim.harness import update_manifest
-run, go, tag = Path(sys.argv[1]), Path(sys.argv[2]), sys.argv[3]
+run, go, tag, nest = Path(sys.argv[1]), Path(sys.argv[2]), sys.argv[3], sys.argv[4]
 while not go.exists():
     time.sleep(0.001)
 for i in range(200):
-    update_manifest(run, **{f"{tag}{i}": i})
+    entry = {f"{tag}{i}": i}
+    update_manifest(run, **({"sim_calls": entry} if nest else entry))
 """
 
 
-def test_concurrent_manifest_updates_keep_every_key(tmp_path):
-    """Two processes updating one run directory at once: the lock keeps
-    every key, and the rename leaves a parsable file."""
+def _concurrent_updates(tmp_path, nest: str) -> dict:
+    """The manifest after two processes made 200 updates each at once, of
+    top-level keys or, with `nest`, of keys under `sim_calls`."""
     run, go = tmp_path / "run", tmp_path / "go"
     run.mkdir()
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    procs = [subprocess.Popen([sys.executable, "-c", _UPDATER, str(run), str(go), tag],
+    procs = [subprocess.Popen([sys.executable, "-c", _UPDATER, str(run), str(go), tag, nest],
                               env=env, stderr=subprocess.PIPE, text=True)
              for tag in ("a", "b")]
     go.touch()
     for proc in procs:
         _, err = proc.communicate(timeout=120)
         assert proc.returncode == 0, err
-    man = read_manifest(run)
-    assert man == {f"{tag}{i}": i for tag in ("a", "b") for i in range(200)}
     assert [p.name for p in run.iterdir()] == ["manifest.yaml"]
+    return read_manifest(run)
+
+
+def test_concurrent_manifest_updates_keep_every_key(tmp_path):
+    """Two processes updating one run directory at once: the lock keeps
+    every key, and the rename leaves a parsable file."""
+    man = _concurrent_updates(tmp_path, "")
+    assert man == {f"{tag}{i}": i for tag in ("a", "b") for i in range(200)}
+
+
+def test_concurrent_manifest_updates_merge_a_mapping(tmp_path):
+    """A mapping-valued entry merges into the stored mapping under the lock,
+    so two processes adding `sim_calls` keys at once keep all 400."""
+    man = _concurrent_updates(tmp_path, "1")
+    assert man == {"sim_calls": {f"{tag}{i}": i for tag in ("a", "b") for i in range(200)}}
+
+
+def test_manifest_update_merges_one_level_deep(tmp_path):
+    update_manifest(tmp_path, sim_calls={"a": {"total": 1}}, config={"seed": 0, "x": [1]})
+    update_manifest(tmp_path, sim_calls={"b": {"total": 2}, "a": {"days": 3}},
+                    config={"seed": 4, "x": [2]}, wall_s=1.0)
+    update_manifest(tmp_path, wall_s=2.0)
+    assert read_manifest(tmp_path) == {"sim_calls": {"a": {"days": 3}, "b": {"total": 2}},
+                                       "config": {"seed": 4, "x": [2]}, "wall_s": 2.0}
+    assert list(read_manifest(tmp_path)["sim_calls"]) == ["a", "b"]
 
 
 @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
@@ -319,10 +343,11 @@ def test_benchmark_without_recorded_digests_loads(pipeline, tmp_path):
 def test_calibration_discovery(pipeline):
     out, bench, _ = pipeline
     days = [d.day for d in bench.test_days]
-    cals = harness._collect_calibrations(out, "randsearch", days)
-    assert len(cals) == 1
-    assert sorted(cals[0]) == days
-    assert harness._collect_calibrations(out, "calisim_ws0", days) == []
+    cals = harness._collect_calibrations(out, "randsearch", [0, 1], days)
+    assert list(cals) == ["randsearch_seed0"]   # no seed-1 file: skipped
+    assert sorted(cals["randsearch_seed0"]) == days
+    assert harness._collect_calibrations(out, "randsearch", [1], days) == {}
+    assert harness._collect_calibrations(out, "calisim_ws0", [0], days) == {}
 
 
 def test_evaluation_report_bundle(pipeline):
@@ -521,6 +546,26 @@ def test_cli_ablation_arm_matches_the_pipeline(pipeline, cli_pipeline, tiny_cfg_
     for name in ("metamarket_ws0.ck", "calibration_calisim_ws0.csv"):
         assert (run / name).read_bytes() == (piped / name).read_bytes(), name
     assert (run / "metamarket.ck").read_bytes() == (out / "metamarket.ck").read_bytes()
+
+
+def test_evaluate_scores_only_the_config_seeds(cli_pipeline, tmp_path):
+    """A run directory that still holds an earlier run's seed-1 calibrations:
+    a pipeline with `baselines.seeds: [0]` into it scores seed 0 alone, and
+    its summary equals that of a fresh run with the same config."""
+    run = tmp_path / "run"
+    two_seeds = {**TINY_CFG, "baselines": {**TINY_CFG["baselines"], "seeds": [0, 1]}}
+    harness.run_pipeline(two_seeds, run)
+    assert (run / "calibration_bayesopt_seed1.csv").exists()
+    summary = harness.run_pipeline(TINY_CFG, run)
+    # calisim, its ablation arm, one map per baseline and the ground truth
+    n_maps = 2 + len(harness.METHODS[1:]) + 1
+    assert read_manifest(run)["evaluation_sim_calls"] == (
+        n_maps * TINY["n_test"] * len(TINY_CFG["evaluate"]["eval_seeds"]))
+    assert list(summary["sim_calls"]) == ["calisim", "calisim_ws0",
+                                          "randsearch_seed0", "bayesopt_seed0"]
+    _, _, fresh = cli_pipeline
+    assert ((run / "evaluation/summary.yaml").read_bytes()
+            == (fresh / "evaluation/summary.yaml").read_bytes())
 
 
 def test_cli_ablation_of_a_search_baseline_exits_1(tmp_path, capsys):

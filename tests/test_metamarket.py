@@ -56,7 +56,7 @@ def test_batched_forward_matches_per_sample():
     rng = np.random.default_rng(2)
     wins = rng.normal(size=(4, WINDOW_DAYS, 13))
     states = rng.normal(size=(4, 5))
-    with ad.no_grad():
+    with ad.frozen(k.params()):
         batch = k.forward(wins, states).data
         singles = np.concatenate([k.forward(wins[i][None], states[i][None]).data
                                   for i in range(4)])
@@ -195,7 +195,7 @@ def test_composite_loss_gradient_check():
                            states + rng.normal(0, 2.0, (3, 5)))
     # the state-consistency loss detaches the implicit feature, so for the
     # finite-difference oracle u must be held fixed inside that term
-    with ad.no_grad():
+    with ad.frozen(k.theta1_params()):
         u_fixed = Tensor(k.implicit(wins).data.copy())
 
     def stat_term():
@@ -247,6 +247,28 @@ def test_train_logs_and_restores_surrogate_flags():
     assert all(p.requires_grad for p in net.params())
 
 
+def test_train_freezes_the_surrogate_across_its_predicts(monkeypatch):
+    """The log's `predict` inside training freezes the surrogate again and,
+    on exit, leaves it frozen until training ends; train sets no gradient
+    of the surrogate by hand."""
+    k, net = make_k(), make_surrogate()
+    grads = [p.grad for p in net.params()]
+    flags_after_predict = []
+    predict = net.predict
+
+    def spy(*args):
+        out = predict(*args)
+        flags_after_predict.append([p.requires_grad for p in net.params()])
+        return out
+
+    monkeypatch.setattr(net, "predict", spy)
+    train(k, make_corpus(), net, w_t=0.1, w_s=1.0, epochs=3, seed=0)
+    assert len(flags_after_predict) == 4   # epoch 0 to 2 in training, then the last log
+    assert not any(any(flags) for flags in flags_after_predict[:3])
+    assert all(p.requires_grad for p in net.params())
+    assert all(p.grad is g for p, g in zip(net.params(), grads))
+
+
 def test_train_pure_reproduction_configuration():
     """w_t = w_s = 0 reduces to reproduction-only training and the
     reconstruction log still descends on a learnable corpus."""
@@ -281,7 +303,7 @@ def test_train_runs_the_extractor_once_per_epoch(monkeypatch, epochs):
 
 
 def test_train_log_is_the_forward_of_each_epochs_parameters():
-    """Entry e of the log is a no-grad forward of the parameters after e
+    """Entry e of the log is a frozen forward of the parameters after e
     steps, bit for bit."""
     corpus, net = make_corpus(), make_surrogate()
     wins, states, funds, targets = mm._windows(corpus)
@@ -289,7 +311,7 @@ def test_train_log_is_the_forward_of_each_epochs_parameters():
     for epochs in range(3):
         k = make_k()
         train(k, corpus, net, w_t=0.1, w_s=1.0, epochs=epochs, seed=0)
-        with ad.no_grad():
+        with ad.frozen(k.params()):
             b = k.forward(wins, states).data
         expected.append(float(np.mean([np.sum((net.predict(b[i], funds[i]) - targets[i]) ** 2)
                                        for i in range(len(b))])))
