@@ -21,8 +21,8 @@ from . import features as feat
 from . import metamarket as mm
 from . import surrogate as sur
 from .agents import BEHAVIOR_NAMES, BehaviorVector
-from .benchmark import PROFILES, Benchmark, gen_benchmark
-from .marketstate import N_STATE, STATE_NAMES
+from .benchmark import PROFILES, Benchmark, BenchDay, gen_benchmark
+from .marketstate import STATE_NAMES
 from .tables import file_sha256, write_table
 
 METHODS = ("calisim", "randsearch", "bayesopt")
@@ -170,7 +170,8 @@ def stage_gen_benchmark(cfg: dict, out_dir: Path, state_free: bool = False) -> B
     bench.save(p)
     update_manifest(out_dir, config=cfg, benchmark=str(p), state_free=state_free,
                     benchmark_sha256={name: file_sha256(p / name) for name in BENCHMARK_FILES},
-                    benchmark_wall_s=time.perf_counter() - t0)
+                    benchmark_wall_s=time.perf_counter() - t0,
+                    benchmark_sim_calls=len(bench.days))
     return bench
 
 
@@ -243,6 +244,7 @@ def stage_train_surrogate(cfg: dict, out_dir: Path,
                 zip(range(len(curves.train_loss)), curves.train_loss, curves.val_loss))
     update_manifest(out_dir, surrogate=str(ck), surrogate_sha256=file_sha256(ck),
                     surrogate_wall_s=time.perf_counter() - t0,
+                    surrogate_sim_calls=len(ds.feats_z) * bench.surrogate_replicates,
                     surrogate_best_epoch=curves.best_epoch,
                     surrogate_skipped_steps=curves.skipped_steps,
                     surrogate_val0=float(curves.val_loss[0]),
@@ -250,19 +252,13 @@ def stage_train_surrogate(cfg: dict, out_dir: Path,
     return net, curves
 
 
-def _build_corpus(bench: Benchmark, net: sur.SurrogateNet,
-                  state_norm: feat.FeatureNormalizer) -> list[mm.DayRecord]:
-    """Meta-market training corpus over all train days (their windows reach
-    back into the warmup span)."""
-    records = []
-    first = bench.n_warmup
-    for d in bench.days[first - mm.WINDOW_DAYS + 1: first + bench.n_train]:
-        records.append(mm.DayRecord(
-            features_z=net.norm.transform(d.features),
-            fund_norm=sur.normalize_fundamental(d.fund),
-            state_z=(state_norm.transform(d.state_assembled)
-                     if d.state_assembled is not None else np.zeros(N_STATE))))
-    return records
+def _calibrator_inputs(bench: Benchmark, k: mm.MetaMarket,
+                       days: list[BenchDay]) -> tuple[np.ndarray, np.ndarray]:
+    """The calibrator's z-scored inputs for `days`, the same for training,
+    calibration and counterfactual queries: feature windows (n, W, 13) and
+    market states (n, 5)."""
+    return (np.stack([k.feat_norm.transform(bench.window_features(d.day)) for d in days]),
+            np.stack([k.state_norm.transform(d.state_assembled) for d in days]))
 
 
 def stage_train_metamarket(cfg: dict, out_dir: Path, ablation: bool = False,
@@ -274,12 +270,13 @@ def stage_train_metamarket(cfg: dict, out_dir: Path, ablation: bool = False,
     bench = bench or _load_benchmark(out_dir)
     net = net or _load_surrogate(out_dir)
     mc = cfg["metamarket"]
-    states = np.stack([d.state_assembled for d in bench.train_days])
-    state_norm = feat.FeatureNormalizer.fit(states)
-    corpus = _build_corpus(bench, net, state_norm)
+    days = bench.train_days
+    state_norm = feat.FeatureNormalizer.fit(np.stack([d.state_assembled for d in days]))
     rng = np.random.default_rng(np.random.SeedSequence([cfg["seed"], 0x4B]))
     k = mm.MetaMarket(bench.cfg.fundamental_len, rng, net.norm, state_norm)
-    curves = mm.train(k, corpus, net, epochs=mc["epochs"], w_t=mc["w_t"],
+    wins, states = _calibrator_inputs(bench, k, days)
+    funds = np.stack([sur.normalize_fundamental(d.fund) for d in days])
+    curves = mm.train(k, wins, states, funds, net, epochs=mc["epochs"], w_t=mc["w_t"],
                       w_s=0.0 if ablation else mc["w_s"], lr=mc["lr"], seed=cfg["seed"])
     key = _metamarket_key(ablation)
     ck = out_dir / f"{key}.ck"
@@ -299,12 +296,8 @@ def stage_train_metamarket(cfg: dict, out_dir: Path, ablation: bool = False,
 def calibrate_calisim(bench: Benchmark, k: mm.MetaMarket,
                       ) -> list[tuple[int, BehaviorVector]]:
     """One-shot calibration of every test day; zero simulator calls."""
-    out = []
-    for d in bench.test_days:
-        window = k.feat_norm.transform(bench.window_features(d.day))
-        x_z = k.state_norm.transform(d.state_assembled)
-        out.append((d.day, k.infer(window, x_z)))
-    return out
+    wins, states = _calibrator_inputs(bench, k, bench.test_days)
+    return [(d.day, k.infer(w, x)) for d, w, x in zip(bench.test_days, wins, states)]
 
 
 def calibrate_baseline(bench: Benchmark, method: str, net: sur.SurrogateNet,
@@ -475,9 +468,14 @@ def stage_evaluate(cfg: dict, out_dir: Path, bench: Benchmark | None = None) -> 
     }
     with open(report_dir / "summary.yaml", "w") as f:
         yaml.safe_dump(summary, f, sort_keys=False)
+    # state indicators that carry no signal over the test window
+    states = np.array([d.state_assembled for d in bench.test_days])
+    degenerate = [name for name, col in zip(STATE_NAMES, states.T)
+                  if len(np.unique(col)) < 3 or col.std() < feat.FeatureNormalizer.STD_FLOOR]
     update_manifest(out_dir, evaluation=str(report_dir),
                     evaluation_wall_s=time.perf_counter() - t0,
-                    evaluation_sim_calls=sum(e.sim_calls for e in evals.values()))
+                    evaluation_sim_calls=sum(e.sim_calls for e in evals.values()),
+                    evaluation_degenerate_indicators=degenerate)
     return summary
 
 
@@ -550,8 +548,7 @@ def stage_hypothesize(cfg: dict, out_dir: Path, day: int,
     for name in deltas:
         if name not in STATE_NAMES:
             raise ConfigError(f"config field state.{name}: unknown indicator")
-    window = k.feat_norm.transform(bench.window_features(day))
-    x = k.state_norm.transform(d.state_assembled)
+    (window,), (x,) = _calibrator_inputs(bench, k, [d])
     x_mod = x.copy()
     for name, dv in deltas.items():
         x_mod[STATE_NAMES.index(name)] += float(dv)

@@ -40,15 +40,6 @@ INIT_GAIN_EXTRACTOR = 8.0
 INIT_GAIN_HEAD = 10.0
 
 
-@dataclass
-class DayRecord:
-    """One trading day of the calibration corpus (all inputs pre-normalized)."""
-
-    features_z: np.ndarray   # (13,)
-    fund_norm: np.ndarray    # (F,) ln(P_k / P_0)
-    state_z: np.ndarray      # (5,)
-
-
 class MetaMarket:
     """The calibrator K = (implicit extractor p_theta1, state analyzer g_omega)."""
 
@@ -219,35 +210,25 @@ class MetaCurves:
     skipped_steps: int = 0   # Adam steps skipped on non-finite gradients
 
 
-def _windows(corpus: list[DayRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stack sliding windows: day t is calibrated from days t-W+1 .. t and
-    reproduces its own features."""
-    if len(corpus) < WINDOW_DAYS + 2:
-        raise ValueError(f"corpus needs at least {WINDOW_DAYS + 2} days, got {len(corpus)}")
-    feats = np.stack([d.features_z for d in corpus])
-    wins = np.stack([feats[t - WINDOW_DAYS + 1: t + 1]
-                     for t in range(WINDOW_DAYS - 1, len(corpus))])
-    tail = corpus[WINDOW_DAYS - 1:]
-    return (wins,
-            np.stack([d.state_z for d in tail]),
-            np.stack([d.fund_norm for d in tail]),
-            feats[WINDOW_DAYS - 1:])
-
-
-def train(k: MetaMarket, corpus: list[DayRecord], surrogate: SurrogateNet,
-          epochs: int, w_t: float, w_s: float,
+def train(k: MetaMarket, wins: np.ndarray, states: np.ndarray, funds: np.ndarray,
+          surrogate: SurrogateNet, epochs: int, w_t: float, w_s: float,
           lr: float = 1e-3, seed: int = 0) -> MetaCurves:
     """Composite-loss training over all sliding windows as one batch.
 
-    The surrogate is frozen (its parameters receive no gradient). Logs the
-    mean reconstruction error and mean day-to-day behavior variation per
-    epoch. Each epoch runs the extractor once: its graph forward gives both
-    the estimates that the losses train on and the log of the parameters
-    that the previous step left.
+    Window i ends on the day it calibrates, whose z-scored state is
+    states[i], whose fundamental is funds[i], and whose own features,
+    wins[i, -1], it reproduces. The surrogate is frozen (its parameters
+    receive no gradient). Logs the mean reconstruction error and mean
+    day-to-day behavior variation per epoch. Each epoch runs the
+    extractor once: its graph forward gives both the estimates that the
+    losses train on and the log of the parameters that the previous step
+    left.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x3E]))
-    wins, states, funds, targets = _windows(corpus)
     n = len(wins)
+    if n < 2:
+        raise ValueError(f"training needs at least 2 windows, got {n}")
+    targets = wins[:, -1]
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x3E]))
     opt = ad.Adam(k.params(), lr=lr)
     curves = MetaCurves()
 

@@ -78,7 +78,7 @@ class FundamentalSeries:
 @dataclass(slots=True)
 class Event:
     slot: int
-    seq: int
+    seq: int           # the event's index in its stream's events
     kind: str          # PLACE | CANCEL | TRADE
     order_id: int
     agent: int
@@ -162,7 +162,6 @@ def run_day(cfg: SimConfig, b: BehaviorVector, fund: FundamentalSeries,
     var_floor = 1e-8 * cfg.open_price ** 2
     var_cap = 1e-6 * cfg.open_price ** 2
     next_order_id = 0
-    seq = 0
 
     n_agents, slots = cfg.n_agents, cfg.slots_per_day
     # a moving pointer walks the wake schedule and decodes each entry into
@@ -210,10 +209,10 @@ def run_day(cfg: SimConfig, b: BehaviorVector, fund: FundamentalSeries,
                 touched = False
                 for st, cancels, order in batch:
                     for oid in cancels:
-                        seq = _apply_cancel(st, book, oid, slot, seq, stream, lot_size)
+                        _apply_cancel(st, book, oid, slot, stream, lot_size)
                         touched = True
                     if order is not None:
-                        seq = _apply_place(states, book, order, slot, seq, stream, lot_size)
+                        _apply_place(states, book, order, slot, stream, lot_size)
                         touched = True
                 if touched:
                     mid_cache = book.mid_price()
@@ -263,27 +262,26 @@ def _stale_orders(st: _AgentState, slot: int) -> list[int]:
     return stale
 
 
-def _apply_cancel(st: _AgentState, book: Book, oid: int, slot: int, seq: int,
-                  stream: OrderStream, lot_size: int) -> int:
+def _apply_cancel(st: _AgentState, book: Book, oid: int, slot: int,
+                  stream: OrderStream, lot_size: int):
     order = st.orders.pop(oid, None)   # the same object the book holds
     if order is None:   # filled earlier in this slot's batch
-        return seq
+        return
     cancelled = book.cancel(oid)
     assert cancelled, "agent's resting orders out of step with the book"
     if order.side is BID:
         st.account.reserved_cash -= order.price * order.size * lot_size
     else:
         st.account.reserved_lots -= order.size
-    stream.events.append(Event(slot, seq, "CANCEL", oid, order.agent,
+    stream.events.append(Event(slot, len(stream.events), "CANCEL", oid, order.agent,
                                int(order.side), 0, 0, -1))
-    return seq + 1
 
 
 def _apply_place(states: list[_AgentState], book: Book, order: LimitOrder,
-                 slot: int, seq: int, stream: OrderStream, lot_size: int) -> int:
-    stream.events.append(Event(slot, seq, "PLACE", order.id, order.agent,
-                               int(order.side), order.price, order.size, -1))
-    seq += 1
+                 slot: int, stream: OrderStream, lot_size: int):
+    events = stream.events
+    events.append(Event(slot, len(events), "PLACE", order.id, order.agent,
+                        int(order.side), order.price, order.size, -1))
     taker = states[order.agent]
     trades = book.place_limit(order)
     for tr in trades:
@@ -299,16 +297,14 @@ def _apply_place(states: list[_AgentState], book: Book, order: LimitOrder,
             settle(taker.account, tr, ASK, lot_size)
         if maker.orders[tr.maker].size == 0:   # filled: the book dropped it
             del maker.orders[tr.maker]
-        stream.events.append(Event(slot, seq, "TRADE", tr.maker, tr.maker_agent,
-                                   int(order.side), tr.price, tr.size, tr.taker))
-        seq += 1
+        events.append(Event(slot, len(events), "TRADE", tr.maker, tr.maker_agent,
+                            int(order.side), tr.price, tr.size, tr.taker))
     if order.size > 0:  # residue rests
         if order.side is BID:
             taker.account.reserved_cash += order.price * order.size * lot_size
         else:
             taker.account.reserved_lots += order.size
         taker.orders[order.id] = order
-    return seq
 
 
 def replay(stream: OrderStream, check_trades: bool = True) -> np.ndarray:

@@ -18,7 +18,9 @@ import yaml
 
 from calisim import benchmark as bm
 from calisim import harness
+from calisim import metamarket as mm
 from calisim import simulator as sim
+from calisim import surrogate as sur
 from calisim.cli import _parser, main
 from calisim.harness import ConfigError, load_config, read_manifest, update_manifest
 
@@ -266,6 +268,61 @@ def test_manifest_records_evaluation_sim_calls(pipeline):
     n_maps = 2 + 2 * len(TINY_CFG["baselines"]["seeds"])
     assert read_manifest(out)["evaluation_sim_calls"] == (
         len(bench.test_days) * len(TINY_CFG["evaluate"]["eval_seeds"]) * n_maps)
+
+
+def test_manifest_records_benchmark_and_surrogate_sim_calls(pipeline, tmp_path, monkeypatch):
+    """gen-benchmark's and the surrogate's simulated days, counted where
+    they are simulated, sit in top-level keys; `sim_calls` keeps the
+    calibrations alone."""
+    out, bench, _ = pipeline
+    calls = {"bm": 0, "sur": 0}
+    for key, mod in (("bm", bm), ("sur", sur)):
+        def counted(*args, _key=key, _run=mod.run_day, **kwargs):
+            calls[_key] += 1
+            return _run(*args, **kwargs)
+        monkeypatch.setattr(mod, "run_day", counted)
+    harness.stage_gen_benchmark(TINY_CFG, tmp_path)
+    harness.stage_train_surrogate(TINY_CFG, tmp_path)
+    assert calls == {"bm": 30, "sur": 12}
+    for run in (out, tmp_path):
+        man = read_manifest(run)
+        assert (man["benchmark_sim_calls"], man["surrogate_sim_calls"]) == (30, 12)
+    assert len(bench.days) == 30
+    assert not {"benchmark", "surrogate"} & set(read_manifest(out)["sim_calls"])
+
+
+def test_manifest_flags_degenerate_test_window_indicators(pipeline):
+    """The macro indicators, monthly, hold one value over the tiny run's 4
+    test days; the flag is in the manifest, not the golden-pinned summary."""
+    out, bench, summary = pipeline
+    assert read_manifest(out)["evaluation_degenerate_indicators"] == ["cpi", "ppi", "pmi"]
+    states = np.array([d.state_assembled for d in bench.test_days])
+    assert [len(np.unique(col)) for col in states.T[:3]] == [1, 1, 1]
+    assert "evaluation_degenerate_indicators" not in summary
+
+
+def test_calibrator_trains_on_the_windows_calibrate_reads(pipeline, tmp_path, monkeypatch):
+    """stage_train_metamarket hands metamarket.train, bit for bit, the
+    z-scored window and state that calibration reads, for every train day,
+    and the checkpoint it trains is the pipeline's."""
+    out, bench, _ = pipeline
+    seen = {}
+    train = mm.train
+
+    def spy(k, wins, states, funds, *args, **kwargs):
+        seen.update(k=k, wins=wins, states=states, funds=funds)
+        return train(k, wins, states, funds, *args, **kwargs)
+
+    monkeypatch.setattr(mm, "train", spy)
+    k, _ = harness.stage_train_metamarket(TINY_CFG, tmp_path, bench=bench,
+                                          net=harness._load_surrogate(out))
+    days = bench.train_days
+    assert seen["k"] is k and len(seen["wins"]) == len(seen["states"]) == len(days)
+    for d, w, x, f in zip(days, seen["wins"], seen["states"], seen["funds"]):
+        assert w.tobytes() == k.feat_norm.transform(bench.window_features(d.day)).tobytes()
+        assert x.tobytes() == k.state_norm.transform(d.state_assembled).tobytes()
+        assert f.tobytes() == sur.normalize_fundamental(d.fund).tobytes()
+    assert (tmp_path / "metamarket.ck").read_bytes() == (out / "metamarket.ck").read_bytes()
 
 
 def test_manifest_counts_skipped_optimizer_steps(pipeline):

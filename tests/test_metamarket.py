@@ -13,7 +13,6 @@ from calisim.autodiff import Tensor
 from calisim.features import FeatureNormalizer
 from calisim.metamarket import (
     WINDOW_DAYS,
-    DayRecord,
     MetaMarket,
     loss_repr,
     loss_stat,
@@ -225,23 +224,31 @@ def test_composite_loss_gradient_check():
 
 
 def make_corpus(n_days=WINDOW_DAYS + 4, seed=10):
+    """(wins, states, funds): the sliding windows over `n_days` random days,
+    and the states and fundamentals of the days the windows end on."""
     rng = np.random.default_rng(seed)
-    return [DayRecord(features_z=rng.normal(size=13),
-                      fund_norm=rng.normal(0, 0.05, FUND_DIM),
-                      state_z=rng.normal(size=5))
+    days = [(rng.normal(size=13), rng.normal(0, 0.05, FUND_DIM), rng.normal(size=5))
             for _ in range(n_days)]
+    feats, funds, states = (np.stack(col) for col in zip(*days))
+    wins = np.stack([feats[t - WINDOW_DAYS + 1: t + 1] for t in range(WINDOW_DAYS - 1, n_days)])
+    return wins, states[WINDOW_DAYS - 1:], funds[WINDOW_DAYS - 1:]
 
 
 def test_train_rejects_short_corpus():
-    k = make_k()
-    with pytest.raises(ValueError, match="at least"):
-        train(k, make_corpus(WINDOW_DAYS), make_surrogate(), w_t=0.1, w_s=1.0, epochs=1)
+    """The temporal loss needs two consecutive days: one window is refused,
+    two train."""
+    with pytest.raises(ValueError, match="at least 2 windows, got 1"):
+        train(make_k(), *make_corpus(WINDOW_DAYS), make_surrogate(),
+              w_t=0.1, w_s=1.0, epochs=1)
+    curves = train(make_k(), *make_corpus(WINDOW_DAYS + 1), make_surrogate(),
+                   w_t=0.1, w_s=1.0, epochs=1)
+    assert len(curves.recon) == 2
 
 
 def test_train_logs_and_restores_surrogate_flags():
     k = make_k()
     net = make_surrogate()
-    curves = train(k, make_corpus(), net, w_t=0.1, w_s=1.0, epochs=3, seed=0)
+    curves = train(k, *make_corpus(), net, w_t=0.1, w_s=1.0, epochs=3, seed=0)
     assert len(curves.recon) == 4 and len(curves.variation) == 4  # epoch 0 + 3
     assert all(np.isfinite(curves.recon)) and all(np.isfinite(curves.variation))
     assert all(p.requires_grad for p in net.params())
@@ -262,7 +269,7 @@ def test_train_freezes_the_surrogate_across_its_predicts(monkeypatch):
         return out
 
     monkeypatch.setattr(net, "predict", spy)
-    train(k, make_corpus(), net, w_t=0.1, w_s=1.0, epochs=3, seed=0)
+    train(k, *make_corpus(), net, w_t=0.1, w_s=1.0, epochs=3, seed=0)
     assert len(flags_after_predict) == 4   # epoch 0 to 2 in training, then the last log
     assert not any(any(flags) for flags in flags_after_predict[:3])
     assert all(p.requires_grad for p in net.params())
@@ -273,14 +280,14 @@ def test_train_pure_reproduction_configuration():
     """w_t = w_s = 0 reduces to reproduction-only training and the
     reconstruction log still descends on a learnable corpus."""
     k = make_k()
-    curves = train(k, make_corpus(), make_surrogate(), w_t=0.0, w_s=0.0,
+    curves = train(k, *make_corpus(), make_surrogate(), w_t=0.0, w_s=0.0,
                    epochs=25, seed=0)
     assert curves.recon[-1] < curves.recon[0]
 
 
 def test_train_deterministic():
-    c1 = train(make_k(), make_corpus(), make_surrogate(), w_t=0.1, w_s=1.0, epochs=3, seed=5)
-    c2 = train(make_k(), make_corpus(), make_surrogate(), w_t=0.1, w_s=1.0, epochs=3, seed=5)
+    c1 = train(make_k(), *make_corpus(), make_surrogate(), w_t=0.1, w_s=1.0, epochs=3, seed=5)
+    c2 = train(make_k(), *make_corpus(), make_surrogate(), w_t=0.1, w_s=1.0, epochs=3, seed=5)
     assert c1.recon == c2.recon and c1.variation == c2.variation
 
 
@@ -296,7 +303,7 @@ def test_train_runs_the_extractor_once_per_epoch(monkeypatch, epochs):
         return run(self, xs)
 
     monkeypatch.setattr(nn.StackedLSTM, "run", counted)
-    curves = train(make_k(), make_corpus(), make_surrogate(), w_t=0.1, w_s=1.0,
+    curves = train(make_k(), *make_corpus(), make_surrogate(), w_t=0.1, w_s=1.0,
                    epochs=epochs, seed=0)
     assert len(calls) == epochs + 1
     assert len(curves.recon) == len(curves.variation) == epochs + 1
@@ -306,16 +313,17 @@ def test_train_log_is_the_forward_of_each_epochs_parameters():
     """Entry e of the log is a frozen forward of the parameters after e
     steps, bit for bit."""
     corpus, net = make_corpus(), make_surrogate()
-    wins, states, funds, targets = mm._windows(corpus)
+    wins, states, funds = corpus
+    targets = wins[:, -1]
     expected = []
     for epochs in range(3):
         k = make_k()
-        train(k, corpus, net, w_t=0.1, w_s=1.0, epochs=epochs, seed=0)
+        train(k, *corpus, net, w_t=0.1, w_s=1.0, epochs=epochs, seed=0)
         with ad.frozen(k.params()):
             b = k.forward(wins, states).data
         expected.append(float(np.mean([np.sum((net.predict(b[i], funds[i]) - targets[i]) ** 2)
                                        for i in range(len(b))])))
-    assert train(make_k(), corpus, net, w_t=0.1, w_s=1.0, epochs=2, seed=0).recon == expected
+    assert train(make_k(), *corpus, net, w_t=0.1, w_s=1.0, epochs=2, seed=0).recon == expected
 
 
 def test_train_holds_one_epochs_graph():
@@ -326,7 +334,7 @@ def test_train_holds_one_epochs_graph():
         k, net, corpus = make_k(), make_surrogate(), make_corpus(WINDOW_DAYS + 40)
         tracemalloc.start()
         try:
-            train(k, corpus, net, w_t=0.1, w_s=1.0, epochs=epochs, seed=0)
+            train(k, *corpus, net, w_t=0.1, w_s=1.0, epochs=epochs, seed=0)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -354,11 +362,12 @@ def test_train_counts_skipped_steps_and_gives_up(monkeypatch):
     MAX_SKIPPED_IN_ROW of them in a row end the run naming the epoch."""
     results = iter([False, True] * 3)
     monkeypatch.setattr(ad.Adam, "step", lambda self: next(results))
-    curves = train(make_k(), make_corpus(), make_surrogate(), w_t=0.1, w_s=1.0, epochs=6, seed=0)
+    curves = train(make_k(), *make_corpus(), make_surrogate(),
+                   w_t=0.1, w_s=1.0, epochs=6, seed=0)
     assert curves.skipped_steps == 3
     monkeypatch.setattr(ad.Adam, "step", lambda self: False)
     with pytest.raises(FloatingPointError, match=f"epoch {ad.MAX_SKIPPED_IN_ROW}$"):
-        train(make_k(), make_corpus(), make_surrogate(),
+        train(make_k(), *make_corpus(), make_surrogate(),
               w_t=0.1, w_s=1.0, epochs=ad.MAX_SKIPPED_IN_ROW + 5, seed=0)
 
 
@@ -366,7 +375,7 @@ def test_surrogate_frozen_during_training():
     k = make_k()
     net = make_surrogate()
     before = {p.name: p.data.copy() for p in net.params()}
-    train(k, make_corpus(), net, w_t=0.1, w_s=1.0, epochs=3, seed=0)
+    train(k, *make_corpus(), net, w_t=0.1, w_s=1.0, epochs=3, seed=0)
     for p in net.params():
         assert np.array_equal(p.data, before[p.name]), p.name
 

@@ -266,17 +266,18 @@ def test_stale_order_filled_earlier_in_the_batch_emits_no_cancel():
     book = Book(10000)
     stream = sim.OrderStream(100.0, 0.01, 1, 3600, 0)
     ask = LimitOrder(0, 0, Side.ASK, 10000, 3, 0)
-    seq = sim._apply_place(states, book, ask, 0, 0, stream, 1)
+    sim._apply_place(states, book, ask, 0, stream, 1)
     assert states[0].account.reserved_lots == 3
     slot = 50
     stale = sim._stale_orders(states[0], slot)
     assert stale == [0]
     bid = LimitOrder(1, 1, Side.BID, 10000, 3, slot)
-    seq = sim._apply_place(states, book, bid, slot, seq, stream, 1)
+    sim._apply_place(states, book, bid, slot, stream, 1)
     assert 0 not in states[0].orders
     for oid in stale:
-        seq = sim._apply_cancel(states[0], book, oid, slot, seq, stream, 1)
+        sim._apply_cancel(states[0], book, oid, slot, stream, 1)
     assert [e.kind for e in stream.events] == ["PLACE", "PLACE", "TRADE"]
+    assert [e.seq for e in stream.events] == [0, 1, 2]
     assert states[0].account.reserved_lots == 0
     assert states[0].account.holdings == 97 and states[1].account.holdings == 103
 
@@ -287,14 +288,12 @@ def test_partly_filled_maker_stays_until_cancelled():
     states = [_agent(tau_i=10), _agent(tau_i=10)]
     book = Book(10000)
     stream = sim.OrderStream(100.0, 0.01, 1, 3600, 0)
-    seq = sim._apply_place(states, book, LimitOrder(0, 0, Side.ASK, 10000, 5, 0),
-                           0, 0, stream, 1)
-    seq = sim._apply_place(states, book, LimitOrder(1, 1, Side.BID, 10000, 2, 1),
-                           1, seq, stream, 1)
+    sim._apply_place(states, book, LimitOrder(0, 0, Side.ASK, 10000, 5, 0), 0, stream, 1)
+    sim._apply_place(states, book, LimitOrder(1, 1, Side.BID, 10000, 2, 1), 1, stream, 1)
     assert list(states[0].orders) == [0] and states[0].orders[0] is book.order(0)
     assert book.order(0).size == 3 and states[0].account.reserved_lots == 3
-    sim._apply_cancel(states[0], book, 0, 20, seq, stream, 1)
-    assert stream.events[-1] == sim.Event(20, seq, "CANCEL", 0, 0, int(Side.ASK), 0, 0, -1)
+    sim._apply_cancel(states[0], book, 0, 20, stream, 1)
+    assert stream.events[-1] == sim.Event(20, 3, "CANCEL", 0, 0, int(Side.ASK), 0, 0, -1)
     assert book.order(0) is None and not states[0].orders
     assert states[0].account.reserved_lots == 0
 
