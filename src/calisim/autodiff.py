@@ -39,6 +39,9 @@ def _consumed(g):
 class Tensor:
     """A float64 array with an optional gradient and a backward closure.
 
+    `grad` is None until a backward that reaches the tensor allocates it,
+    or an open `Adam` points it at its flat gradient buffer.
+
     Graph edges are stored on the nodes themselves; `backward` performs a
     topological sweep, so the "tape" is the implicit recorded graph.
     """
@@ -47,7 +50,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = np.zeros_like(self.data) if requires_grad else None
+        self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self.name = name
         self._backward: Callable[[np.ndarray], None] | None = None
@@ -61,10 +64,6 @@ class Tensor:
     def __repr__(self):
         tag = f" name={self.name}" if self.name else ""
         return f"Tensor(shape={self.data.shape}{tag}, requires_grad={self.requires_grad})"
-
-    def zero_grad(self):
-        if self.grad is not None:
-            self.grad[...] = 0.0
 
     def detach(self) -> "Tensor":
         return Tensor(self.data)
@@ -107,6 +106,8 @@ class Tensor:
             if g is None:
                 continue
             if node.requires_grad:
+                if node.grad is None:
+                    node.grad = np.zeros_like(node.data)
                 node.grad += g
             if back is None:
                 continue
@@ -397,6 +398,11 @@ class SkippedSteps:
 class Adam:
     """Bias-corrected Adam over a fixed list of parameters.
 
+    The gradients, like the moments, live in one flat vector in parameter
+    order, and each parameter's `.grad` is a view of its slice while the
+    optimizer is open. Use it as a context manager: on exit every
+    parameter's `.grad` is None again, also when training raises.
+
     A step with any non-finite gradient is aborted (parameters untouched)
     and reported via the return value.
     """
@@ -406,18 +412,26 @@ class Adam:
         self.lr = lr
         self.eps = eps
         self.t = 0
-        # the moments of all parameters, flat and in parameter order
         offs = np.cumsum([0] + [p.data.size for p in self.params]).tolist()
         self.slices = [slice(a, b) for a, b in zip(offs, offs[1:])]
         self.m = np.zeros(offs[-1])
         self.v = np.zeros(offs[-1])
+        self.grad = np.zeros(offs[-1])
+        for p, sl in zip(self.params, self.slices):
+            p.grad = self.grad[sl].reshape(p.data.shape)
+
+    def __enter__(self) -> "Adam":
+        return self
+
+    def __exit__(self, *exc):
+        for p in self.params:
+            p.grad = None
 
     def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
+        self.grad.fill(0.0)
 
     def step(self) -> bool:
-        g = np.concatenate([p.grad.ravel() for p in self.params])
+        g = self.grad
         if not np.all(np.isfinite(g)):
             return False
         self.t += 1
@@ -450,10 +464,9 @@ def grad_check(loss_fn: Callable[[], Tensor], params: Sequence[Tensor],
     """
     rng = rng or np.random.default_rng(0)
     for p in params:
-        p.zero_grad()
-    loss = loss_fn()
-    loss.backward()
-    analytic = [p.grad.copy() for p in params]
+        p.grad = None
+    loss_fn().backward()
+    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]
     worst = 0.0
     with frozen(params):
         for p, ga in zip(params, analytic):

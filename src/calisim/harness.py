@@ -326,16 +326,19 @@ def stage_calibrate(cfg: dict, out_dir: Path, method: str, seed: int = 0,
     out_dir = Path(out_dir)
     bench = bench or _load_benchmark(out_dir)
     key = calibration_key(method, seed, ablation)
+    scored_with = {}
     if method == "calisim":
         rows, calls = calibrate_calisim(bench, _load_metamarket(out_dir, ablation)), 0
     else:
         rows, calls = calibrate_baseline(bench, method, _load_surrogate(out_dir),
                                          trials=cfg["baselines"]["trials"], seed=seed)
+        scored_with["surrogate_sha256"] = file_sha256(out_dir / "surrogate.ck")
     source = key if method == "calisim" else method
     path = out_dir / f"calibration_{key}.csv"
     mm.write_calibration(path, [(day, b, source) for day, b in rows])
     update_manifest(out_dir, sim_calls={key: {"total": calls, "days": len(rows),
                                               "per_day": calls / max(len(rows), 1)}},
+                    calibrations={key: {"sha256": file_sha256(path), **scored_with}},
                     **{f"calibrate_{key}_wall_s": time.perf_counter() - t0})
     return path
 
@@ -367,14 +370,17 @@ class MethodEval:
     sim_calls: int           # simulated days spent scoring
 
 
-def _collect_calibrations(out_dir: Path, source: str, seeds: list[int],
-                          days: list[int]) -> dict[str, dict[int, BehaviorVector]]:
+def _collect_calibrations(out_dir: Path, source: str, seeds: list[int], days: list[int],
+                          man: dict) -> dict[str, dict[int, BehaviorVector]]:
     """One source's calibration maps by key: a search baseline's at each of
     `seeds`, one map otherwise; a key without a file is skipped. Each file
-    must calibrate every one of `days`; one that does not raises ValueError
-    naming the file and the missing days."""
+    must calibrate every one of `days`, match the SHA-256 that calibrate
+    recorded in the manifest `man`, and, for a search baseline, have been
+    scored with the run's current surrogate; a file that does not raises
+    ValueError naming it. A file without recorded digests is taken as it is."""
     keys = ([calibration_key(source, seed, False) for seed in seeds]
             if source in METHODS[1:] else [source])
+    recorded = man.get("calibrations", {})
     out = {}
     for key in keys:
         p = Path(out_dir) / f"calibration_{key}.csv"
@@ -387,6 +393,13 @@ def _collect_calibrations(out_dir: Path, source: str, seeds: list[int],
         if missing:
             raise ValueError(f"{p}: no {source} calibration for test "
                              f"day(s) {', '.join(map(str, missing))}")
+        want = recorded.get(key, {})
+        if "sha256" in want and file_sha256(p) != want["sha256"]:
+            raise ValueError(f"{p}: SHA-256 differs from the one in {_manifest_path(out_dir)}")
+        surrogate = man.get("surrogate_sha256")
+        if want.get("surrogate_sha256", surrogate) != surrogate:
+            raise ValueError(f"{p}: calibrated with another surrogate than the run's "
+                             "surrogate.ck; run calibrate again")
         out[key] = cal
     return out
 
@@ -426,8 +439,10 @@ def stage_evaluate(cfg: dict, out_dir: Path, bench: Benchmark | None = None) -> 
     net = _load_surrogate(out_dir)
 
     # every calibration file of the config's seeds is checked before any day is scored
+    man = read_manifest(out_dir)
     test_days = [d.day for d in bench.test_days]
-    cals = {source: _collect_calibrations(out_dir, source, cfg["baselines"]["seeds"], test_days)
+    cals = {source: _collect_calibrations(out_dir, source, cfg["baselines"]["seeds"],
+                                          test_days, man)
             for source in (*METHODS, ABLATION)}
     # Ground truth as a reference method: its reconstruction error is the
     # simulator's seed-to-seed feature noise floor.
@@ -451,7 +466,6 @@ def stage_evaluate(cfg: dict, out_dir: Path, bench: Benchmark | None = None) -> 
     _write_correlation(report_dir / "correlation_table.csv", evals)
     _emit_plot_scripts(report_dir)
 
-    man = read_manifest(out_dir)
     summary = {
         "missing_methods": missing,
         "methods": {

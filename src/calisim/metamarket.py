@@ -229,7 +229,6 @@ def train(k: MetaMarket, wins: np.ndarray, states: np.ndarray, funds: np.ndarray
         raise ValueError(f"training needs at least 2 windows, got {n}")
     targets = wins[:, -1]
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x3E]))
-    opt = ad.Adam(k.params(), lr=lr)
     curves = MetaCurves()
 
     def log_epoch(b: np.ndarray):
@@ -242,7 +241,7 @@ def train(k: MetaMarket, wins: np.ndarray, states: np.ndarray, funds: np.ndarray
         curves.variation.append(float(var))
 
     skipped = ad.SkippedSteps("calibrator")
-    with ad.frozen(surrogate.params()):
+    with ad.frozen(surrogate.params()), ad.Adam(k.params(), lr=lr) as opt:
         for epoch in range(1, epochs + 1):
             opt.zero_grad()
             u = k.implicit(wins)

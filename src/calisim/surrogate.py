@@ -164,7 +164,6 @@ def train_surrogate(ds: SurrogateDataset, epochs: int, lr: float = 1e-3,
     if len(tq) == 0 or len(vq) == 0:
         raise ValueError("dataset needs non-empty train and validation splits")
     net = SurrogateNet(ds.fund_norm.shape[1], rng, ds.norm)
-    opt = ad.Adam(net.params(), lr=lr)
 
     def eval_loss(b, f, q) -> float:
         with ad.frozen(net.params()):
@@ -174,22 +173,23 @@ def train_surrogate(ds: SurrogateDataset, epochs: int, lr: float = 1e-3,
     best = (curves.val_loss[0], {k: v.copy() for k, v in nn.named_params(net.params()).items()})
     n = len(tq)
     skipped = ad.SkippedSteps("surrogate")
-    for epoch in range(1, epochs + 1):
-        order = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = order[start:start + batch_size]
-            opt.zero_grad()
-            loss = _batch_loss(net, tb[idx], tf[idx], tq[idx])
-            if not np.isfinite(loss.item()):
-                raise FloatingPointError(f"non-finite surrogate loss at epoch {epoch}")
-            loss.backward()
-            skipped.record(opt.step(), epoch)
-        curves.train_loss.append(eval_loss(tb, tf, tq))
-        curves.val_loss.append(eval_loss(vb, vf, vq))
-        if curves.val_loss[-1] < best[0]:
-            best = (curves.val_loss[-1],
-                    {k: v.copy() for k, v in nn.named_params(net.params()).items()})
-            curves.best_epoch = epoch
+    with ad.Adam(net.params(), lr=lr) as opt:
+        for epoch in range(1, epochs + 1):
+            order = rng.permutation(n)
+            for start in range(0, n, batch_size):
+                idx = order[start:start + batch_size]
+                opt.zero_grad()
+                loss = _batch_loss(net, tb[idx], tf[idx], tq[idx])
+                if not np.isfinite(loss.item()):
+                    raise FloatingPointError(f"non-finite surrogate loss at epoch {epoch}")
+                loss.backward()
+                skipped.record(opt.step(), epoch)
+            curves.train_loss.append(eval_loss(tb, tf, tq))
+            curves.val_loss.append(eval_loss(vb, vf, vq))
+            if curves.val_loss[-1] < best[0]:
+                best = (curves.val_loss[-1],
+                        {k: v.copy() for k, v in nn.named_params(net.params()).items()})
+                curves.best_epoch = epoch
     nn.load_into(net.params(), best[1])
     curves.skipped_steps = skipped.total
     return net, curves

@@ -354,7 +354,7 @@ def test_detach_blocks_gradient():
     p = ad.parameter([2.0, -1.0], "p")
     loss = ad.sum_squares(p.detach())
     loss.backward()
-    assert np.array_equal(p.grad, np.zeros(2))
+    assert p.grad is None
 
 
 def test_backward_frees_the_graph_while_the_loss_is_held():
@@ -393,16 +393,16 @@ def test_backward_requires_a_scalar():
     p = ad.parameter([2.0, -1.0], "p")
     with pytest.raises(ValueError, match="scalar"):
         ad.square(p).backward()
-    assert np.array_equal(p.grad, np.zeros(2))
+    assert p.grad is None
 
 
 def test_selective_update_masked_group_gets_zero_grad():
-    """A loss that flows only through one parameter group leaves exactly
-    zero accumulated gradient on the other."""
+    """A loss that flows only through one parameter group allocates no
+    gradient on the other."""
     a = ad.parameter([1.0, 2.0], "a")
     b = ad.parameter([3.0, 4.0], "b")
     ad.sum_squares(ad.add(a, b.detach())).backward()
-    assert np.array_equal(b.grad, np.zeros(2))
+    assert b.grad is None
     assert np.array_equal(a.grad, 2.0 * (a.data + b.data))
 
 
@@ -422,9 +422,10 @@ def test_adam_first_step_closed_form():
     first step is -lr * g / (|g| + eps * sqrt(1 - beta2))."""
     g = np.array([0.3, -2.0, 5.0])
     p = ad.parameter(np.zeros(3), "p")
-    p.grad[...] = g
     lr, eps, beta2 = 1e-3, 1e-8, 0.999
-    Adam([p], lr=lr, eps=eps).step()
+    opt = Adam([p], lr=lr, eps=eps)
+    p.grad[...] = g
+    opt.step()
     expected = -lr * (g / (1 - 0.9)) * (1 - 0.9) / (
         np.sqrt(g * g) + eps)
     # m/c1 = g, sqrt(v/c2) = |g|
@@ -487,6 +488,30 @@ def test_flat_adam_matches_per_parameter_reference():
             ref[k] -= lr * (m[k] / c1) / (np.sqrt(v[k] / c2) + eps)
         for p, r in zip(params, ref):
             assert p.data.tobytes() == r.tobytes()
+
+
+def test_adam_holds_the_gradients_only_while_open():
+    """While an Adam is open each parameter's grad is a view of its one flat
+    buffer: backward accumulates into it, and zero_grad and step keep it.
+    On exit, also on an exception, every grad is None again."""
+    params = [ad.parameter(np.ones((2, 3)), "a"), ad.parameter(np.ones(4), "b"),
+              ad.parameter(0.5, "c")]
+    assert all(p.grad is None for p in params)
+    with Adam(params) as opt:
+        views = [p.grad for p in params]
+        assert opt.grad.shape == (11,)
+        for p in params:
+            assert np.shares_memory(p.grad, opt.grad) and p.grad.shape == p.data.shape
+        ad.sum_squares(ad.mul(params[0], 2.0)).backward()
+        assert np.array_equal(opt.grad, [8.0] * 6 + [0.0] * 5)
+        assert opt.step()
+        opt.zero_grad()
+        assert all(p.grad is g for p, g in zip(params, views)) and not opt.grad.any()
+    assert all(p.grad is None for p in params)
+    with pytest.raises(FloatingPointError):
+        with Adam(params):
+            raise FloatingPointError
+    assert all(p.grad is None for p in params)
 
 
 def test_grad_check_catches_corrupted_gradient():

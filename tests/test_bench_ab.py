@@ -67,3 +67,39 @@ def test_rusage_medians_per_workload_and_side():
     assert medians["dataset"]["parent"] == {"minflt": 9, "utime_s": 4.5, "stime_s": 0.1}
     assert medians["dataset"]["change"] == {"minflt": 1010, "utime_s": 5.0, "stime_s": 0.1}
     assert medians["train"]["change"] == {"minflt": 8, "utime_s": 1.0, "stime_s": 0.0}
+
+
+STDOUT = """\
+workload train  seed 3  trace 0  rounds 7  op = training epoch  gen_benchmark seed 3
+machine {"nproc": 2, "seed": 3}
+unscaled ms_per_op by round: 1.851 1.82; host speed factor by round: 1.040 1.083
+  setup_s                      2.83283 s
+  peak_rss_mb                  69.6875 MB
+  metamarket_ms_per_epoch      36.3547 ms
+digest sha256:2078edfc
+{"correct": true, "attempted": 1277, "failed": 0, "metrics": {}}
+"""
+
+
+def test_parse_output_reads_rounds_and_detail_lines():
+    out = bench_ab.parse_output(STDOUT)
+    assert out["digest"] == "sha256:2078edfc" and out["rounds"] == 7
+    assert out["detail"] == {"setup_s": 2.83283, "peak_rss_mb": 69.6875,
+                             "metamarket_ms_per_epoch": 36.3547}
+    assert out["result"]["attempted"] == 1277
+
+
+def test_detail_medians_per_workload_and_side():
+    """Each side's median rounds and detail values, beside the verdicts:
+    a train run's peak RSS grows with the rounds it ran."""
+    runs = _pairs()
+    for i, r in enumerate(runs):
+        r["rounds"] = 5 + i % 2 + (i >= 10)
+        r["detail"] = {"peak_rss_mb": 70.0 + i, "metamarket_ms_per_epoch": 36.0}
+    medians = bench_ab.detail_medians(runs)
+    assert set(medians) == {"dataset"}
+    # parents are the even runs 0..18, changes the odd runs 1..19
+    assert medians["dataset"]["parent"] == {"rounds": 5.5, "peak_rss_mb": 79.0,
+                                            "metamarket_ms_per_epoch": 36.0}
+    assert medians["dataset"]["change"] == {"rounds": 6.5, "peak_rss_mb": 80.0,
+                                            "metamarket_ms_per_epoch": 36.0}

@@ -399,12 +399,67 @@ def test_benchmark_without_recorded_digests_loads(pipeline, tmp_path):
 
 def test_calibration_discovery(pipeline):
     out, bench, _ = pipeline
-    days = [d.day for d in bench.test_days]
-    cals = harness._collect_calibrations(out, "randsearch", [0, 1], days)
+    days, man = [d.day for d in bench.test_days], read_manifest(out)
+    cals = harness._collect_calibrations(out, "randsearch", [0, 1], days, man)
     assert list(cals) == ["randsearch_seed0"]   # no seed-1 file: skipped
     assert sorted(cals["randsearch_seed0"]) == days
-    assert harness._collect_calibrations(out, "randsearch", [1], days) == {}
-    assert harness._collect_calibrations(out, "calisim_ws0", [0], days) == {}
+    assert harness._collect_calibrations(out, "randsearch", [1], days, man) == {}
+    assert harness._collect_calibrations(out, "calisim_ws0", [0], days, man) == {}
+
+
+def test_manifest_records_calibration_digests(pipeline):
+    """Each calibration file's SHA-256 is in the manifest under its key,
+    and each search baseline's also the surrogate it was scored with."""
+    out, _, _ = pipeline
+    man = read_manifest(out)
+    assert set(man["calibrations"]) == set(man["sim_calls"])
+    for key, want in man["calibrations"].items():
+        assert want["sha256"] == hashlib.sha256(
+            (out / f"calibration_{key}.csv").read_bytes()).hexdigest(), key
+        if key == "calisim":
+            assert "surrogate_sha256" not in want
+        else:
+            assert want["surrogate_sha256"] == man["surrogate_sha256"], key
+
+
+@pytest.mark.parametrize("key", ["calisim", "bayesopt_seed0"])
+def test_evaluate_rejects_corrupt_calibration(pipeline, tmp_path, key):
+    """One changed digit in a calibration still parses and covers every
+    test day; the digest in the manifest catches it, naming the file."""
+    out, bench, _ = pipeline
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    path = run / f"calibration_{key}.csv"
+    header, row, *rest = path.read_text().splitlines(keepends=True)
+    day, b1, *cells = row.split(",")
+    b1 = b1[:-1] + ("1" if b1[-1] != "1" else "2")
+    path.write_text("".join([header, ",".join([day, b1, *cells]), *rest]))
+    with pytest.raises(ValueError, match=f"calibration_{key}.csv: SHA-256 differs"):
+        harness.stage_evaluate(TINY_CFG, run, bench=bench)
+
+
+def test_evaluate_rejects_calibrations_of_a_retrained_surrogate(pipeline, tmp_path):
+    """A surrogate retrained after the search baselines were calibrated
+    makes evaluate refuse them, naming the first one's file."""
+    out, bench, _ = pipeline
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    harness.stage_train_surrogate({**TINY_CFG, "seed": 1}, run, bench=bench)
+    assert read_manifest(run)["surrogate_sha256"] != read_manifest(out)["surrogate_sha256"]
+    with pytest.raises(ValueError, match="calibration_randsearch_seed0.csv: calibrated "
+                                         "with another surrogate"):
+        harness.stage_evaluate(TINY_CFG, run, bench=bench)
+
+
+def test_trained_and_loaded_models_hold_no_gradients(pipeline, tmp_path):
+    """The calibrator that stage_train_metamarket returns, and the surrogate
+    and calibrator that calibrate, evaluate and hypothesize load, hold no
+    gradient arrays."""
+    out, bench, _ = pipeline
+    net = harness._load_surrogate(out)
+    k, _ = harness.stage_train_metamarket(TINY_CFG, tmp_path, bench=bench, net=net)
+    for p in [*net.params(), *k.params(), *harness._load_metamarket(out).params()]:
+        assert p.grad is None, p.name
 
 
 def test_evaluation_report_bundle(pipeline):

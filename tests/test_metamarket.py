@@ -142,19 +142,17 @@ def test_make_triplets_redraws_only_offending_rows():
 
 def test_loss_stat_trains_only_omega():
     """The implicit feature is detached inside the state-consistency loss:
-    extractor parameters receive exactly zero gradient from it."""
+    its backward reaches no extractor parameter."""
     k = make_k()
     rng = np.random.default_rng(7)
     win = window(rng)[None]
     trip = make_triplets(rng.normal(size=(1, 5)), rng)
-    for p in k.params():
-        p.zero_grad()
     loss = loss_stat(k, k.implicit(win), trip)
     if loss.item() == 0.0:  # inactive hinge: tighten the margin until active
         loss = loss_stat(k, k.implicit(win), trip, margin=10.0)
     loss.backward()
     for p in k.theta1_params():
-        assert np.array_equal(p.grad, np.zeros_like(p.grad)), p.name
+        assert p.grad is None, p.name
     assert any(np.any(p.grad != 0) for p in k.omega_params())
 
 
@@ -256,16 +254,16 @@ def test_train_logs_and_restores_surrogate_flags():
 
 def test_train_freezes_the_surrogate_across_its_predicts(monkeypatch):
     """The log's `predict` inside training freezes the surrogate again and,
-    on exit, leaves it frozen until training ends; train sets no gradient
-    of the surrogate by hand."""
+    on exit, leaves it frozen until training ends; no backward reaches the
+    surrogate, so it never holds a gradient."""
     k, net = make_k(), make_surrogate()
-    grads = [p.grad for p in net.params()]
     flags_after_predict = []
     predict = net.predict
 
     def spy(*args):
         out = predict(*args)
         flags_after_predict.append([p.requires_grad for p in net.params()])
+        assert all(p.grad is None for p in net.params())
         return out
 
     monkeypatch.setattr(net, "predict", spy)
@@ -273,7 +271,7 @@ def test_train_freezes_the_surrogate_across_its_predicts(monkeypatch):
     assert len(flags_after_predict) == 4   # epoch 0 to 2 in training, then the last log
     assert not any(any(flags) for flags in flags_after_predict[:3])
     assert all(p.requires_grad for p in net.params())
-    assert all(p.grad is g for p, g in zip(net.params(), grads))
+    assert all(p.grad is None for p in net.params())
 
 
 def test_train_pure_reproduction_configuration():
@@ -369,6 +367,36 @@ def test_train_counts_skipped_steps_and_gives_up(monkeypatch):
     with pytest.raises(FloatingPointError, match=f"epoch {ad.MAX_SKIPPED_IN_ROW}$"):
         train(make_k(), *make_corpus(), make_surrogate(),
               w_t=0.1, w_s=1.0, epochs=ad.MAX_SKIPPED_IN_ROW + 5, seed=0)
+
+
+def test_trained_raised_and_loaded_calibrators_hold_no_gradients(tmp_path, monkeypatch):
+    """`train` returns, or raises, with every parameter's grad None, and a
+    loaded checkpoint holds none either."""
+    k = make_k()
+    train(k, *make_corpus(), make_surrogate(), w_t=0.1, w_s=1.0, epochs=2, seed=0)
+    assert all(p.grad is None for p in k.params())
+    k.save(tmp_path / "mm.ck")
+    assert all(p.grad is None for p in MetaMarket.load(tmp_path / "mm.ck").params())
+    monkeypatch.setattr(ad.Adam, "step", lambda self: False)
+    k = make_k()
+    with pytest.raises(FloatingPointError):
+        train(k, *make_corpus(), make_surrogate(), w_t=0.1, w_s=1.0,
+              epochs=ad.MAX_SKIPPED_IN_ROW, seed=0)
+    assert all(p.grad is None for p in k.params())
+
+
+def test_trained_calibrator_retains_only_its_parameters():
+    """What a trained calibrator keeps allocated is its parameters' data:
+    no gradient buffer outlives training."""
+    net, corpus = make_surrogate(), make_corpus()
+    tracemalloc.start()
+    try:
+        k = make_k()
+        train(k, *corpus, net, w_t=0.1, w_s=1.0, epochs=2, seed=0)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained <= 1.1 * sum(p.data.nbytes for p in k.params())
 
 
 def test_surrogate_frozen_during_training():

@@ -197,6 +197,30 @@ def test_training_counts_skipped_steps_and_gives_up(monkeypatch):
         train_surrogate(ds, epochs=ad.MAX_SKIPPED_IN_ROW, seed=0)
 
 
+def test_trained_raised_and_loaded_nets_hold_no_gradients(tmp_path, monkeypatch):
+    """`train_surrogate` returns, or raises, with every parameter's grad
+    None, and a loaded checkpoint holds none either."""
+    ds = synth_dataset()
+    net, _ = train_surrogate(ds, epochs=2, seed=0)
+    assert all(p.grad is None for p in net.params())
+    net.save(tmp_path / "sur.ck")
+    assert all(p.grad is None for p in SurrogateNet.load(tmp_path / "sur.ck").params())
+
+    made = []
+
+    class Kept(SurrogateNet):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(sur, "SurrogateNet", Kept)
+    monkeypatch.setattr(ad.Adam, "step", lambda self: False)
+    with pytest.raises(FloatingPointError):
+        train_surrogate(ds, epochs=ad.MAX_SKIPPED_IN_ROW, seed=0)
+    (net,) = made
+    assert all(p.grad is None for p in net.params())
+
+
 def test_empty_split_rejected():
     ds = synth_dataset()
     ds.val_mask[:] = False

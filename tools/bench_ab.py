@@ -22,8 +22,11 @@ change, both sides' failed checks and whether the change's median is
 within the metric's `bound` (a fraction of the parent's median) above
 the parent's. Each raw run also records its process's minor page faults
 and user and system CPU seconds (`getrusage` of the children, taken
-around the run), and the report gives their per-side medians per
-workload; they explain a verdict and are not one. A metric's verdict is
+around the run), its number of rounds and its workload's detail lines
+(for train, `surrogate_ms_per_epoch` and `metamarket_ms_per_epoch`). The
+report gives the per-side medians of both per workload, as
+`child_rusage_medians` and `detail_medians`; they explain a verdict (train's
+peak RSS grows with its rounds) and are not one. A metric's verdict is
 "better" when the change wins at least 9 pairs in 10 and the medians
 differ by more than the parent's quartile spread, "worse" for the mirror
 image, and "unresolved" otherwise; it is never "better" when a change
@@ -56,6 +59,10 @@ PAIRS = 10          # the fewest pairs with which a 9-in-10 verdict can be given
 SIDES = ("parent", "change")
 # each run's share of the children's getrusage totals, stored as these keys
 RUSAGE_FIELDS = {"minflt": "ru_minflt", "utime_s": "ru_utime", "stime_s": "ru_stime"}
+# perfbench's stdout: the header names the rounds, a detail line is indented
+_DIGEST = re.compile(r"^digest (\S+)$")
+_ROUNDS = re.compile(r"\brounds (\d+)\b")
+_DETAIL = re.compile(r"^  (\S+) +(\S+) \S+$")
 
 
 def _git(*args: str) -> str:
@@ -80,27 +87,45 @@ def _run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
                            f"{proc.stderr[-2000:]}")
-    lines = proc.stdout.strip().splitlines()
-    digest = next((m.group(1) for m in map(re.compile(r"^digest (\S+)$").match, lines) if m),
-                  None)
     # runs are sequential, so the children's totals grew by this run alone
     rusage = {key: round(getattr(after, field) - getattr(before, field), 3)
               for key, field in RUSAGE_FIELDS.items()}
-    return {"command": " ".join(cmd), "digest": digest, "rusage": rusage,
+    return {"command": " ".join(cmd), "rusage": rusage, **parse_output(proc.stdout)}
+
+
+def parse_output(stdout: str) -> dict:
+    """A perfbench run's digest, rounds, detail values and result line."""
+    lines = stdout.strip().splitlines()
+    return {"digest": next((m.group(1) for m in map(_DIGEST.match, lines) if m), None),
+            "rounds": next(int(m.group(1)) for m in map(_ROUNDS.search, lines) if m),
+            "detail": {m.group(1): float(m.group(2)) for m in map(_DETAIL.match, lines) if m},
             "result": json.loads(lines[-1])}
+
+
+def _side_medians(pairs: list[dict], values) -> dict:
+    """Per workload and side, the median of each of `values(run)`."""
+    out = {}
+    for workload in WORKLOADS:
+        runs = [r for r in pairs if r["workload"] == workload]
+        if runs:
+            out[workload] = {}
+            for side in SIDES:
+                rows = [values(r) for r in runs if r["side"] == side]
+                out[workload][side] = {key: round(median(row[key] for row in rows), 3)
+                                       for key in rows[0]}
+    return out
 
 
 def rusage_medians(pairs: list[dict]) -> dict:
     """Per workload and side, the median of each run's minor page faults and
     CPU seconds: what a footprint or speed change trades, not a verdict."""
-    out = {}
-    for workload in WORKLOADS:
-        runs = [r for r in pairs if r["workload"] == workload]
-        if runs:
-            out[workload] = {side: {key: round(median(r["rusage"][key] for r in runs
-                                                      if r["side"] == side), 3)
-                                    for key in RUSAGE_FIELDS} for side in SIDES}
-    return out
+    return _side_medians(pairs, lambda r: r["rusage"])
+
+
+def detail_medians(pairs: list[dict]) -> dict:
+    """Per workload and side, the median of each run's rounds and workload
+    detail values: what explains a verdict, not one."""
+    return _side_medians(pairs, lambda r: {"rounds": r["rounds"], **r["detail"]})
 
 
 def _quartiles(values: list[float]) -> list[float]:
@@ -211,7 +236,8 @@ def main(argv=None) -> int:
                                   "pair": i, **run})
                     ms = run["result"]["metrics"]["ms_per_op"]["value"]
                     print(f"{workload} pair {i} seed {seed} {side}: ms_per_op {ms:.2f}, "
-                          f"minor faults {run['rusage']['minflt']}", file=sys.stderr)
+                          f"rounds {run['rounds']}, minor faults {run['rusage']['minflt']}",
+                          file=sys.stderr)
             for seed in DIGEST_SEEDS:
                 for side in SIDES:
                     run = _run(checkouts[side], workload, seed, 1)
@@ -242,6 +268,7 @@ def main(argv=None) -> int:
         },
         "summary": summarize(pairs, bounds),
         "child_rusage_medians": rusage_medians(pairs),
+        "detail_medians": detail_medians(pairs),
         "wall_s": round(time.perf_counter() - t0, 1),
         "pairs": pairs,
     }
