@@ -78,9 +78,12 @@ class Tensor:
         Consumes the graph: every recorded node it walks loses its parents
         and its backward closure, so only the `.data` of tensors still held
         outlives the call. A second backward through any of them raises
-        RuntimeError instead of adding nothing."""
+        RuntimeError instead of adding nothing. A non-finite value raises
+        FloatingPointError before any gradient is touched."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
+        if not np.isfinite(self.data):
+            raise FloatingPointError(f"backward() of a non-finite loss {self.item()}")
         # Tensors hash by identity, so they key the sets and dicts directly
         topo: list[Tensor] = []
         seen: set[Tensor] = set()
@@ -364,35 +367,15 @@ def lstm_hidden(gates: Tensor, c: Tensor) -> Tensor:
 
 # -- Adam -------------------------------------------------------------------------
 
-# A training loop gives up, raising FloatingPointError, once this many Adam
-# steps in a row were skipped on non-finite gradients.
+# Adam gives up, raising FloatingPointError, once this many of its steps in
+# a row were skipped on non-finite gradients.
 MAX_SKIPPED_IN_ROW = 10
 
-# decay rates of Adam's first and second moment estimates
+# decay rates of Adam's first and second moment estimates, and the
+# denominator's guard
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
-
-
-class SkippedSteps:
-    """Counts the steps a training loop's Adam skipped (`Adam.step` returned
-    False) and raises FloatingPointError, naming the epoch, once
-    MAX_SKIPPED_IN_ROW were skipped in a row."""
-
-    def __init__(self, what: str):
-        self.what = what
-        self.total = 0
-        self.in_row = 0
-
-    def record(self, stepped: bool, epoch: int):
-        if stepped:
-            self.in_row = 0
-            return
-        self.total += 1
-        self.in_row += 1
-        if self.in_row == MAX_SKIPPED_IN_ROW:
-            raise FloatingPointError(
-                f"{self.in_row} {self.what} steps in a row skipped on "
-                f"non-finite gradients at epoch {epoch}")
+ADAM_EPS = 1e-8
 
 
 class Adam:
@@ -403,15 +386,17 @@ class Adam:
     optimizer is open. Use it as a context manager: on exit every
     parameter's `.grad` is None again, also when training raises.
 
-    A step with any non-finite gradient is aborted (parameters untouched)
-    and reported via the return value.
+    A step with any non-finite gradient is skipped (parameters untouched),
+    counted in `skipped` and reported via the return value; the
+    MAX_SKIPPED_IN_ROW-th skip in a row raises FloatingPointError.
     """
 
-    def __init__(self, params: Iterable[Tensor], lr: float = 1e-3, eps: float = 1e-8):
+    def __init__(self, params: Iterable[Tensor], lr: float = 1e-3):
         self.params = [p for p in params if p.requires_grad]
         self.lr = lr
-        self.eps = eps
         self.t = 0
+        self.skipped = 0
+        self.skipped_in_row = 0
         offs = np.cumsum([0] + [p.data.size for p in self.params]).tolist()
         self.slices = [slice(a, b) for a, b in zip(offs, offs[1:])]
         self.m = np.zeros(offs[-1])
@@ -433,7 +418,14 @@ class Adam:
     def step(self) -> bool:
         g = self.grad
         if not np.all(np.isfinite(g)):
+            self.skipped += 1
+            self.skipped_in_row += 1
+            if self.skipped_in_row == MAX_SKIPPED_IN_ROW:
+                raise FloatingPointError(
+                    f"{MAX_SKIPPED_IN_ROW} Adam steps in a row skipped on "
+                    f"non-finite gradients after step {self.t}")
             return False
+        self.skipped_in_row = 0
         self.t += 1
         c1 = 1.0 - ADAM_BETA1 ** self.t
         c2 = 1.0 - ADAM_BETA2 ** self.t
@@ -442,7 +434,7 @@ class Adam:
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * g * g
-        upd = self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        upd = self.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
         for p, sl in zip(self.params, self.slices):
             p.data -= upd[sl].reshape(p.data.shape)
         return True

@@ -16,8 +16,7 @@ import yaml
 
 from . import features as feat
 from .agents import N_BEHAVIOR, BehaviorVector
-from .marketstate import (N_STATE, WINDOW_DAYS, DailyBar, MacroTable, assemble,
-                          bar_from_mids, noise, trend)
+from .marketstate import N_STATE, WINDOW_DAYS, DailyBar, MacroTable, assemble, bar_from_mids
 from .simulator import FundamentalSeries, SimConfig, run_day
 from .tables import numbered, read_table, write_table
 
@@ -220,14 +219,8 @@ def gen_benchmark(profile: str, seed: int, state_free: bool = False) -> Benchmar
     # Bootstrap z-statistics for the state come from a fundamental-only
     # pre-pass (the regression self-check below is shift-invariant).
     fund_bars = [bar_from_mids(fund_path[i]) for i in range(lead + n_days)]
-    fund_closes = fund_path[:, -1]
-    boot = np.zeros((n_days, N_STATE))
-    for d in range(n_days):
-        i = lead + d
-        y, m = calendar[d]
-        boot[d, :3] = macro.lookup(y, m)
-        boot[d, 3] = trend(fund_bars[i - WINDOW_DAYS: i])
-        boot[d, 4] = noise(fund_closes[i - WINDOW_DAYS: i])
+    boot = np.array([assemble(*calendar[d], macro, fund_bars[d: d + WINDOW_DAYS])
+                     for d in range(n_days)])
     boot_norm = feat.FeatureNormalizer.fit(boot)
 
     # Planted state-to-behavior map: fixed full-rank A with the pull term
@@ -242,7 +235,7 @@ def gen_benchmark(profile: str, seed: int, state_free: bool = False) -> Benchmar
     # Sequential generation: state -> b*_d -> simulated day -> next bar.
     # Pre-window days fall back to fundamental bars, re-based so the chained
     # bar series stays continuous across the boundary.
-    base = fund_closes[lead - 1]
+    base = fund_bars[lead - 1].close
     lead_bars = [DailyBar(b.open / base, b.high / base, b.low / base, b.close / base)
                  for b in fund_bars[:lead]]
     bars: list[DailyBar] = []

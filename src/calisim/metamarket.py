@@ -240,9 +240,8 @@ def train(k: MetaMarket, wins: np.ndarray, states: np.ndarray, funds: np.ndarray
         curves.recon.append(float(recon))
         curves.variation.append(float(var))
 
-    skipped = ad.SkippedSteps("calibrator")
     with ad.frozen(surrogate.params()), ad.Adam(k.params(), lr=lr) as opt:
-        for epoch in range(1, epochs + 1):
+        for _ in range(epochs):
             opt.zero_grad()
             u = k.implicit(wins)
             b = k.estimate(u, k.analyze(Tensor(states)))
@@ -252,15 +251,11 @@ def train(k: MetaMarket, wins: np.ndarray, states: np.ndarray, funds: np.ndarray
                 loss = ad.add(loss, ad.mul(loss_temp(b), w_t / (n - 1)))
             if w_s:
                 loss = ad.add(loss, ad.mul(loss_stat(k, u, make_triplets(states, rng)), w_s))
-            if not np.isfinite(loss.item()):
-                raise FloatingPointError(
-                    f"non-finite calibrator loss at epoch {epoch}: "
-                    f"recon so far {curves.recon[-1]:.4g}")
             loss.backward()
-            skipped.record(opt.step(), epoch)
+            opt.step()
     with ad.frozen(k.params()):
         log_epoch(k.forward(wins, states).data)
-    curves.skipped_steps = skipped.total
+    curves.skipped_steps = opt.skipped
     return curves
 
 

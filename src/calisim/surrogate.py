@@ -172,18 +172,14 @@ def train_surrogate(ds: SurrogateDataset, epochs: int, lr: float = 1e-3,
     curves = TrainCurves([eval_loss(tb, tf, tq)], [eval_loss(vb, vf, vq)], 0)
     best = (curves.val_loss[0], {k: v.copy() for k, v in nn.named_params(net.params()).items()})
     n = len(tq)
-    skipped = ad.SkippedSteps("surrogate")
     with ad.Adam(net.params(), lr=lr) as opt:
         for epoch in range(1, epochs + 1):
             order = rng.permutation(n)
             for start in range(0, n, batch_size):
                 idx = order[start:start + batch_size]
                 opt.zero_grad()
-                loss = _batch_loss(net, tb[idx], tf[idx], tq[idx])
-                if not np.isfinite(loss.item()):
-                    raise FloatingPointError(f"non-finite surrogate loss at epoch {epoch}")
-                loss.backward()
-                skipped.record(opt.step(), epoch)
+                _batch_loss(net, tb[idx], tf[idx], tq[idx]).backward()
+                opt.step()
             curves.train_loss.append(eval_loss(tb, tf, tq))
             curves.val_loss.append(eval_loss(vb, vf, vq))
             if curves.val_loss[-1] < best[0]:
@@ -191,7 +187,7 @@ def train_surrogate(ds: SurrogateDataset, epochs: int, lr: float = 1e-3,
                         {k: v.copy() for k, v in nn.named_params(net.params()).items()})
                 curves.best_epoch = epoch
     nn.load_into(net.params(), best[1])
-    curves.skipped_steps = skipped.total
+    curves.skipped_steps = opt.skipped
     return net, curves
 
 

@@ -396,6 +396,18 @@ def test_backward_requires_a_scalar():
     assert p.grad is None
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_backward_refuses_a_non_finite_loss(bad):
+    """A NaN or infinite loss raises naming its value, before any gradient
+    is touched and without consuming the graph."""
+    p = ad.parameter([2.0, -1.0], "p")
+    loss = ad.mul(ad.sum_squares(p), bad)
+    with pytest.raises(FloatingPointError,
+                       match=f"^backward\\(\\) of a non-finite loss {bad}$"):
+        loss.backward()
+    assert p.grad is None and loss._parents
+
+
 def test_selective_update_masked_group_gets_zero_grad():
     """A loss that flows only through one parameter group allocates no
     gradient on the other."""
@@ -419,17 +431,15 @@ def test_adam_zero_gradient_no_change():
 
 def test_adam_first_step_closed_form():
     """From zero moments with constant gradient g, the bias-corrected
-    first step is -lr * g / (|g| + eps * sqrt(1 - beta2))."""
+    first step is -lr * g / (|g| + ADAM_EPS)."""
     g = np.array([0.3, -2.0, 5.0])
     p = ad.parameter(np.zeros(3), "p")
-    lr, eps, beta2 = 1e-3, 1e-8, 0.999
-    opt = Adam([p], lr=lr, eps=eps)
+    lr = 1e-3
+    opt = Adam([p], lr=lr)
     p.grad[...] = g
     opt.step()
-    expected = -lr * (g / (1 - 0.9)) * (1 - 0.9) / (
-        np.sqrt(g * g) + eps)
     # m/c1 = g, sqrt(v/c2) = |g|
-    expected = -lr * g / (np.abs(g) + eps)
+    expected = -lr * g / (np.abs(g) + ad.ADAM_EPS)
     assert np.max(np.abs(p.data - expected)) < 1e-15
 
 
@@ -461,6 +471,24 @@ def test_adam_nonfinite_gradient_aborts():
     assert opt.step() is False
     assert all(np.array_equal(p.data, b) for p, b in zip(params, before))
     assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v) and opt.t == 1
+
+
+def test_adam_counts_skipped_steps_and_gives_up():
+    """Every skipped step is counted; a finite step resets the run, and the
+    MAX_SKIPPED_IN_ROW-th skip in a row raises naming Adam's step."""
+    p = ad.parameter(np.ones(3), "p")
+    opt = Adam([p])
+    for poisoned in [False, True, True, False] + [True] * (ad.MAX_SKIPPED_IN_ROW - 1):
+        opt.zero_grad()
+        p.grad[1] = np.nan if poisoned else 1.0
+        assert opt.step() is not poisoned
+    assert (opt.skipped, opt.t) == (ad.MAX_SKIPPED_IN_ROW + 1, 2)
+    opt.grad[0] = np.inf
+    with pytest.raises(FloatingPointError, match=(
+            f"^{ad.MAX_SKIPPED_IN_ROW} Adam steps in a row skipped on "
+            "non-finite gradients after step 2$")):
+        opt.step()
+    assert (opt.skipped, opt.t) == (ad.MAX_SKIPPED_IN_ROW + 2, 2)
 
 
 def test_flat_adam_matches_per_parameter_reference():

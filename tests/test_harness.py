@@ -354,6 +354,23 @@ def test_manifest_records_every_stage_wall_time(pipeline):
     assert summary["sim_calls"] == man["sim_calls"]
 
 
+def test_manifest_pins_every_stage_time_simulator_calls_and_optimizer_health(pipeline):
+    """The key sets of the tiny run's manifest: each stage's wall time, the
+    simulator calls of each stage that simulates (the calibrator's training
+    does not) and the skipped optimizer steps of each stage that trains."""
+    out, _, _ = pipeline
+    man = read_manifest(out)
+    calibrations = {"calisim", "randsearch_seed0", "bayesopt_seed0"}
+    stages = {"benchmark", "surrogate", "metamarket", "evaluation",
+              *(f"calibrate_{k}" for k in calibrations)}
+    assert {k for k in man if k.endswith("_wall_s")} == {f"{s}_wall_s" for s in stages}
+    assert {k for k in man if k.endswith("sim_calls")} == {
+        "benchmark_sim_calls", "surrogate_sim_calls", "sim_calls", "evaluation_sim_calls"}
+    assert set(man["sim_calls"]) == calibrations
+    assert {k for k in man if k.endswith("_skipped_steps")} == {
+        "surrogate_skipped_steps", "metamarket_skipped_steps"}
+
+
 @pytest.mark.parametrize("method, ck", [("randsearch", "surrogate.ck"),
                                         ("calisim", "metamarket.ck")])
 def test_calibrate_rejects_corrupt_checkpoint(pipeline, tmp_path, method, ck):

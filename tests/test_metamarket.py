@@ -355,34 +355,46 @@ def test_stacked_predict_matches_per_row_bitwise():
         assert stacked.tobytes() == rows.tobytes()
 
 
-def test_train_counts_skipped_steps_and_gives_up(monkeypatch):
+def test_train_counts_skipped_steps_and_gives_up(poison_adam):
     """Adam steps skipped on non-finite gradients are counted, and
-    MAX_SKIPPED_IN_ROW of them in a row end the run naming the epoch."""
-    results = iter([False, True] * 3)
-    monkeypatch.setattr(ad.Adam, "step", lambda self: next(results))
+    MAX_SKIPPED_IN_ROW of them in a row end the run naming Adam's step."""
+    poison_adam(lambda i: i % 2 == 0)
     curves = train(make_k(), *make_corpus(), make_surrogate(),
                    w_t=0.1, w_s=1.0, epochs=6, seed=0)
     assert curves.skipped_steps == 3
-    monkeypatch.setattr(ad.Adam, "step", lambda self: False)
-    with pytest.raises(FloatingPointError, match=f"epoch {ad.MAX_SKIPPED_IN_ROW}$"):
+    poison_adam(lambda i: i >= 2)
+    with pytest.raises(FloatingPointError, match=(
+            f"^{ad.MAX_SKIPPED_IN_ROW} Adam steps in a row skipped on "
+            "non-finite gradients after step 2$")):
         train(make_k(), *make_corpus(), make_surrogate(),
               w_t=0.1, w_s=1.0, epochs=ad.MAX_SKIPPED_IN_ROW + 5, seed=0)
 
 
-def test_trained_raised_and_loaded_calibrators_hold_no_gradients(tmp_path, monkeypatch):
-    """`train` returns, or raises, with every parameter's grad None, and a
-    loaded checkpoint holds none either."""
+def test_trained_raised_and_loaded_calibrators_hold_no_gradients(tmp_path, poison_adam):
+    """`train` returns, or gives up on skipped steps, with every
+    parameter's grad None, and a loaded checkpoint holds none either."""
     k = make_k()
     train(k, *make_corpus(), make_surrogate(), w_t=0.1, w_s=1.0, epochs=2, seed=0)
     assert all(p.grad is None for p in k.params())
     k.save(tmp_path / "mm.ck")
     assert all(p.grad is None for p in MetaMarket.load(tmp_path / "mm.ck").params())
-    monkeypatch.setattr(ad.Adam, "step", lambda self: False)
+    poison_adam(lambda i: True)
     k = make_k()
     with pytest.raises(FloatingPointError):
         train(k, *make_corpus(), make_surrogate(), w_t=0.1, w_s=1.0,
               epochs=ad.MAX_SKIPPED_IN_ROW, seed=0)
     assert all(p.grad is None for p in k.params())
+
+
+def test_non_finite_loss_stops_training_with_no_gradients_left():
+    """One NaN target row makes the loss NaN: training raises naming the
+    value, and every parameter's grad is None."""
+    wins, states, funds = make_corpus()
+    wins[1, -1] = np.nan
+    k, surrogate = make_k(), make_surrogate()
+    with pytest.raises(FloatingPointError, match=r"^backward\(\) of a non-finite loss nan$"):
+        train(k, wins, states, funds, surrogate, w_t=0.1, w_s=1.0, epochs=2, seed=0)
+    assert all(p.grad is None for p in [*k.params(), *surrogate.params()])
 
 
 def test_trained_calibrator_retains_only_its_parameters():

@@ -183,29 +183,8 @@ def test_training_deterministic():
     assert c1.val_loss == c2.val_loss and c1.train_loss == c2.train_loss
 
 
-def test_training_counts_skipped_steps_and_gives_up(monkeypatch):
-    """Adam steps skipped on non-finite gradients are counted, and
-    MAX_SKIPPED_IN_ROW of them in a row end the run naming the epoch."""
-    ds = synth_dataset()     # 64 train rows: two batches of 32 per epoch
-    results = iter([False, True] * 4)
-    monkeypatch.setattr(ad.Adam, "step", lambda self: next(results))
-    _, curves = train_surrogate(ds, epochs=4, seed=0)
-    assert curves.skipped_steps == 4
-    monkeypatch.setattr(ad.Adam, "step", lambda self: False)
-    with pytest.raises(FloatingPointError,
-                       match=f"epoch {(ad.MAX_SKIPPED_IN_ROW + 1) // 2}$"):
-        train_surrogate(ds, epochs=ad.MAX_SKIPPED_IN_ROW, seed=0)
-
-
-def test_trained_raised_and_loaded_nets_hold_no_gradients(tmp_path, monkeypatch):
-    """`train_surrogate` returns, or raises, with every parameter's grad
-    None, and a loaded checkpoint holds none either."""
-    ds = synth_dataset()
-    net, _ = train_surrogate(ds, epochs=2, seed=0)
-    assert all(p.grad is None for p in net.params())
-    net.save(tmp_path / "sur.ck")
-    assert all(p.grad is None for p in SurrogateNet.load(tmp_path / "sur.ck").params())
-
+def keep_nets(monkeypatch) -> list[SurrogateNet]:
+    """The nets that `train_surrogate` builds from here on, also when it raises."""
     made = []
 
     class Kept(SurrogateNet):
@@ -214,9 +193,48 @@ def test_trained_raised_and_loaded_nets_hold_no_gradients(tmp_path, monkeypatch)
             made.append(self)
 
     monkeypatch.setattr(sur, "SurrogateNet", Kept)
-    monkeypatch.setattr(ad.Adam, "step", lambda self: False)
+    return made
+
+
+def test_training_counts_skipped_steps_and_gives_up(poison_adam):
+    """Adam steps skipped on non-finite gradients are counted, and
+    MAX_SKIPPED_IN_ROW of them in a row end the run naming Adam's step."""
+    ds = synth_dataset()     # 64 train rows: two batches of 32 per epoch
+    poison_adam(lambda i: i % 2 == 0)
+    _, curves = train_surrogate(ds, epochs=4, seed=0)
+    assert curves.skipped_steps == 4
+    poison_adam(lambda i: i >= 3)
+    with pytest.raises(FloatingPointError, match=(
+            f"^{ad.MAX_SKIPPED_IN_ROW} Adam steps in a row skipped on "
+            "non-finite gradients after step 3$")):
+        train_surrogate(ds, epochs=ad.MAX_SKIPPED_IN_ROW, seed=0)
+
+
+def test_trained_raised_and_loaded_nets_hold_no_gradients(tmp_path, monkeypatch,
+                                                         poison_adam):
+    """`train_surrogate` returns, or gives up on skipped steps, with every
+    parameter's grad None, and a loaded checkpoint holds none either."""
+    ds = synth_dataset()
+    net, _ = train_surrogate(ds, epochs=2, seed=0)
+    assert all(p.grad is None for p in net.params())
+    net.save(tmp_path / "sur.ck")
+    assert all(p.grad is None for p in SurrogateNet.load(tmp_path / "sur.ck").params())
+    made = keep_nets(monkeypatch)
+    poison_adam(lambda i: True)
     with pytest.raises(FloatingPointError):
         train_surrogate(ds, epochs=ad.MAX_SKIPPED_IN_ROW, seed=0)
+    (net,) = made
+    assert all(p.grad is None for p in net.params())
+
+
+def test_non_finite_loss_stops_training_with_no_gradients_left(monkeypatch):
+    """One NaN target row makes its batch's loss NaN: training raises
+    naming the value, and every parameter's grad is None."""
+    ds = synth_dataset()
+    ds.feats_z[np.flatnonzero(~ds.val_mask)[0]] = np.nan
+    made = keep_nets(monkeypatch)
+    with pytest.raises(FloatingPointError, match=r"^backward\(\) of a non-finite loss nan$"):
+        train_surrogate(ds, epochs=1, seed=0)
     (net,) = made
     assert all(p.grad is None for p in net.params())
 
