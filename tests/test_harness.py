@@ -822,26 +822,28 @@ def test_import_leaves_scipy_stats_out():
     assert done.stdout.strip() == "[]"
 
 
-def test_import_loads_no_scipy_until_a_gp_is_fitted():
-    """No calisim module imports scipy at load. GP-BO imports it when it
-    fits its GP, and its result in that fresh process equals the one in
-    the test's own process."""
+def test_import_and_bayes_opt_load_no_scipy():
+    """No calisim module imports scipy, at load or when GP-BO fits and
+    queries its GP, and GP-BO's result in that fresh process equals the one
+    in the test's own process."""
     from calisim.baselines import bayes_opt
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys, calisim, calisim.cli, calisim.harness, calisim.baselines\n"
             "import numpy as np\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "print(loaded())\n"
             "def score(b, seed):\n"
             "    return float(np.sum((b.normalized() - 0.3) ** 2))\n"
             "b, s = calisim.baselines.bayes_opt(score, trials=5, seed=3)\n"
             "print(b.as_array().tobytes().hex(), s.hex())\n"
-            "print('scipy.linalg' in sys.modules)")
+            "print(loaded())")
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    loaded, result, after = done.stdout.splitlines()
-    assert loaded == "[]"
+    before, result, after = done.stdout.splitlines()
+    assert before == "[]"
     b, s = bayes_opt(lambda b, seed: float(np.sum((b.normalized() - 0.3) ** 2)),
                      trials=5, seed=3)
     assert result == f"{b.as_array().tobytes().hex()} {s.hex()}"
-    assert after == "True"
+    assert after == "[]"

@@ -22,11 +22,15 @@ change, both sides' failed checks and whether the change's median is
 within the metric's `bound` (a fraction of the parent's median) above
 the parent's. Each raw run also records its process's minor page faults
 and user and system CPU seconds (`getrusage` of the children, taken
-around the run), its number of rounds and its workload's detail lines
-(for train, `surrogate_ms_per_epoch` and `metamarket_ms_per_epoch`). The
-report gives the per-side medians of both per workload, as
-`child_rusage_medians` and `detail_medians`; they explain a verdict (train's
-peak RSS grows with its rounds) and are not one. A metric's verdict is
+around the run), its number of rounds, its host speed factor by round
+(perfbench's probe, by which it scales each round's `ms_per_op`) and its
+workload's detail lines (for train, `surrogate_ms_per_epoch` and
+`metamarket_ms_per_epoch`). The report gives the per-side medians of these
+per workload, as `child_rusage_medians` and `detail_medians`; they explain
+a verdict (train's peak RSS grows with its rounds) and are not one. The
+detail times are raw wall times, not host-scaled: `detail_medians` gives
+each side's median host speed factor beside them, and two sides' raw
+times compare only where those factors are close. A metric's verdict is
 "better" when the change wins at least 9 pairs in 10 and the medians
 differ by more than the parent's quartile spread, "worse" for the mirror
 image, and "unresolved" otherwise; it is never "better" when a change
@@ -62,6 +66,7 @@ RUSAGE_FIELDS = {"minflt": "ru_minflt", "utime_s": "ru_utime", "stime_s": "ru_st
 # perfbench's stdout: the header names the rounds, a detail line is indented
 _DIGEST = re.compile(r"^digest (\S+)$")
 _ROUNDS = re.compile(r"\brounds (\d+)\b")
+_HOST = re.compile(r"host speed factor by round: ([\d. ]+)")
 _DETAIL = re.compile(r"^  (\S+) +(\S+) \S+$")
 
 
@@ -94,10 +99,13 @@ def _run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
 
 
 def parse_output(stdout: str) -> dict:
-    """A perfbench run's digest, rounds, detail values and result line."""
+    """A perfbench run's digest, rounds, host speed factors, detail values
+    and result line."""
     lines = stdout.strip().splitlines()
     return {"digest": next((m.group(1) for m in map(_DIGEST.match, lines) if m), None),
             "rounds": next(int(m.group(1)) for m in map(_ROUNDS.search, lines) if m),
+            "host_factors": next([float(v) for v in m.group(1).split()]
+                                 for m in map(_HOST.search, lines) if m),
             "detail": {m.group(1): float(m.group(2)) for m in map(_DETAIL.match, lines) if m},
             "result": json.loads(lines[-1])}
 
@@ -123,9 +131,14 @@ def rusage_medians(pairs: list[dict]) -> dict:
 
 
 def detail_medians(pairs: list[dict]) -> dict:
-    """Per workload and side, the median of each run's rounds and workload
-    detail values: what explains a verdict, not one."""
-    return _side_medians(pairs, lambda r: {"rounds": r["rounds"], **r["detail"]})
+    """Per workload and side, the median of each run's rounds, host speed
+    factor (the median of its rounds') and workload detail values: what
+    explains a verdict, not one. The detail values are raw wall times as
+    perfbench prints them, not host-scaled, so a shift in them means
+    little where the sides' host factors differ."""
+    return _side_medians(pairs, lambda r: {"rounds": r["rounds"],
+                                           "host_factor": median(r["host_factors"]),
+                                           **r["detail"]})
 
 
 def _quartiles(values: list[float]) -> list[float]:
