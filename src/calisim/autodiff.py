@@ -140,7 +140,7 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     """A new tensor that joins the graph when a parent requires a gradient or was recorded."""
     out = Tensor(data)
     for p in parents:
-        if p.requires_grad or p._backward is not None:
+        if wants_grad(p):
             out._parents = parents
             out._backward = backward
             break
@@ -286,7 +286,8 @@ def sum_squares(a) -> Tensor:
 # are bit-identical to it; a parent that is a constant gets no gradient work.
 
 
-def _wants_grad(t: Tensor) -> bool:
+def wants_grad(t: Tensor) -> bool:
+    """Whether a backward has work for `t`: it requires a gradient or was recorded."""
     return t.requires_grad or t._backward is not None
 
 
@@ -299,70 +300,88 @@ def affine(x, w, b) -> Tensor:
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
 
     def back(g):
-        return (g @ w.data.T if _wants_grad(x) else None,
-                _weight_grad(x.data, g), _unbroadcast(g, b.data.shape))
+        return (g @ w.data.T if wants_grad(x) else None,
+                _weight_grad(x.data, g) if wants_grad(w) else None,
+                _unbroadcast(g, b.data.shape) if wants_grad(b) else None)
 
     return _make(x.data @ w.data + b.data, (x, w, b), back)
 
 
-def lstm_gates(x: Tensor, h: Tensor, w: Tensor, u: Tensor, b: Tensor) -> Tensor:
-    """LSTM gates of z = x @ w + h @ u + b, gate order (input, forget, cell,
-    output): sigmoid on z's input, forget and output quarters, tanh on its
-    cell quarter."""
-    z = x.data @ w.data + h.data @ u.data + b.data
-    H = z.shape[-1] // 4
-    sig = (slice(0, H), slice(H, 2 * H), slice(3 * H, 4 * H))
-    cell = (Ellipsis, slice(2 * H, 3 * H))
-    act = np.empty_like(z)
+def lstm(xs: np.ndarray, weights: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor:
+    """The last top-layer hidden state, (batch, H), of a stacked LSTM run from
+    zero states over the constant `xs`, (batch, T, n_in).
+
+    Layer k, with (W, U, b) = weights[k], takes z = x @ W + h @ U + b with
+    gate order (input, forget, cell, output): sigmoid on z's i, f and o
+    quarters, tanh on its cell quarter g; then c = f * c + i * g and
+    h = o * tanh(c). One tape node, whose backward runs back through time
+    and hands each W, U and b its gradient summed from the last step down,
+    in the op order of a chain of gate, cell and hidden-state nodes.
+    """
+    batch, steps = xs.shape[:2]
+    n, H = len(weights), weights[0][1].data.shape[0]
+    i, f, g, o = (slice(q * H, (q + 1) * H) for q in range(4))
+    i_f = slice(0, 2 * H)
+    saved = []   # per step and layer: input, h and c before, gates, tanh(c)
+    zero = np.zeros((batch, H))
+    hs, cs = [zero] * n, [zero] * n
     with np.errstate(over="ignore"):  # as in `sigmoid`
-        for sl in sig:
-            act[..., sl] = 1.0 / (1.0 + np.exp(-z[..., sl]))
-    act[cell] = np.tanh(z[cell])
+        for t in range(steps):
+            x = xs[:, t]
+            for k, (w, u, b) in enumerate(weights):
+                z = x @ w.data
+                z += hs[k] @ u.data
+                z += b.data
+                act = np.negative(z)
+                np.exp(act, out=act)
+                act += 1.0
+                np.divide(1.0, act, out=act)
+                np.tanh(z[:, g], out=act[:, g])
+                c = act[:, f] * cs[k]
+                c += act[:, i] * act[:, g]
+                tc = np.tanh(c)
+                saved.append((x, hs[k], cs[k], act, tc))
+                x = hs[k] = act[:, o] * tc
+                cs[k] = c
 
-    def back(g):
-        # zeros plus one add per quarter stores a -0.0 gradient as +0.0
-        dz = np.zeros_like(act)
-        for sl in sig:
-            s = act[..., sl]
-            dz[..., sl] += g[..., sl] * s * (1.0 - s)
-        t = act[cell]
-        dz[cell] += g[cell] * (1.0 - t * t)
-        return (dz @ w.data.T if _wants_grad(x) else None,
-                dz @ u.data.T if _wants_grad(h) else None,
-                _weight_grad(x.data, dz), _weight_grad(h.data, dz),
-                _unbroadcast(dz, b.data.shape))
+    def back(dh_top):
+        grads = [None] * (3 * n)
+        dh, dc = [None] * n, [None] * n   # each layer's h and c gradient from the step after
+        dz, d_act = np.empty((batch, 4 * H)), np.empty((batch, 4 * H))
+        for t in reversed(range(steps)):
+            up = dh_top if t == steps - 1 else None   # h's gradient from the layer above
+            for k in reversed(range(n)):
+                x, h, c, act, tc = saved[t * n + k]
+                w, u, _ = weights[k]
+                gh = up if dh[k] is None else dh[k] if up is None else dh[k] + up
+                gc = gh * act[:, o]
+                gc *= 1.0 - tc * tc
+                if dc[k] is not None:
+                    gc += dc[k]
+                # the gates' gradients, then the pre-activations', +0.0 for -0.0
+                np.multiply(gc, act[:, g], out=dz[:, i])
+                np.multiply(gc, c, out=dz[:, f])
+                np.multiply(gc, act[:, i], out=dz[:, g])
+                np.multiply(gh, tc, out=dz[:, o])
+                np.subtract(1.0, act, out=d_act)
+                np.multiply(act[:, g], act[:, g], out=d_act[:, g])
+                np.subtract(1.0, d_act[:, g], out=d_act[:, g])
+                dz[:, i_f] *= act[:, i_f]
+                dz[:, o] *= act[:, o]
+                dz *= d_act
+                dz += 0.0
+                terms = (x.T @ dz, h.T @ dz, dz.sum(axis=0))
+                if t == steps - 1:
+                    grads[3 * k: 3 * k + 3] = terms
+                else:
+                    for acc, term in zip(grads[3 * k: 3 * k + 3], terms):
+                        acc += term
+                up = dz @ w.data.T if k else None
+                dh[k] = dz @ u.data.T if t else None
+                dc[k] = gc * act[:, f] if t else None
+        return tuple(grads)
 
-    return _make(act, (x, h, w, u, b), back)
-
-
-def lstm_cell(c: Tensor, gates: Tensor) -> Tensor:
-    """New LSTM cell state f * c + i * g from `lstm_gates` output."""
-    H = gates.data.shape[-1] // 4
-    i, f, cand = (gates.data[..., k * H:(k + 1) * H] for k in range(3))
-
-    def back(g):
-        dgates = np.zeros_like(gates.data)
-        dgates[..., 0:H] = g * cand
-        dgates[..., H:2 * H] = g * c.data
-        dgates[..., 2 * H:3 * H] = g * i
-        return (g * f if _wants_grad(c) else None, dgates)
-
-    return _make(f * c.data + i * cand, (c, gates), back)
-
-
-def lstm_hidden(gates: Tensor, c: Tensor) -> Tensor:
-    """New LSTM hidden state o * tanh(c) from `lstm_gates` output and the
-    new cell state."""
-    H = gates.data.shape[-1] // 4
-    o = gates.data[..., 3 * H:4 * H]
-    t = np.tanh(c.data)
-
-    def back(g):
-        dgates = np.zeros_like(gates.data)
-        dgates[..., 3 * H:4 * H] = g * t
-        return dgates, g * o * (1.0 - t * t)
-
-    return _make(o * t, (gates, c), back)
+    return _make(hs[-1], tuple(p for layer in weights for p in layer), back)
 
 
 # -- Adam -------------------------------------------------------------------------

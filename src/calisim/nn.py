@@ -32,7 +32,8 @@ class Affine:
 
 
 class LSTMCell:
-    """Single gated recurrent layer; gate order (input, forget, cell, output).
+    """One layer's parameters of a `StackedLSTM`: W (n_in, 4H), U (H, 4H)
+    and b (4H,), gate order (input, forget, cell, output).
 
     Forget-gate bias starts at +1 for stable early training.
     """
@@ -43,13 +44,6 @@ class LSTMCell:
         bias = np.zeros(4 * n_hidden)
         bias[n_hidden:2 * n_hidden] = 1.0
         self.b = ad.parameter(bias, f"{name}.b")
-
-    def step(self, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-        """(h_new, c_new) for inputs of shape (n,) or (batch, n), recorded
-        as three tape nodes."""
-        gates = ad.lstm_gates(x, h, self.W, self.U, self.b)
-        c_new = ad.lstm_cell(c, gates)
-        return ad.lstm_hidden(gates, c_new), c_new
 
     def params(self) -> list[Tensor]:
         return [self.W, self.U, self.b]
@@ -67,19 +61,17 @@ class StackedLSTM:
         self.n_hidden = n_hidden
 
     def run(self, xs: list[Tensor]) -> Tensor:
-        """xs: sequence of (batch, n_in) or (n_in,) tensors. Returns the final
-        top-layer hidden state, (batch, n_hidden) or (n_hidden,)."""
-        shape = xs[0].data.shape[:-1] + (self.n_hidden,)
-        states = [(Tensor(np.zeros(shape)), Tensor(np.zeros(shape))) for _ in self.cells]
-        h_top = states[-1][0]
-        for x in xs:
-            inp = x
-            for k, cell in enumerate(self.cells):
-                h, c = cell.step(inp, *states[k])
-                states[k] = (h, c)
-                inp = h
-            h_top = inp
-        return h_top
+        """xs: sequence of (batch, n_in) or (n_in,) constant tensors. Returns
+        the final top-layer hidden state, (batch, n_hidden) or (n_hidden,),
+        recorded as one tape node. An input that requires a gradient or was
+        recorded raises ValueError: no gradient flows back into xs."""
+        if any(ad.wants_grad(x) for x in xs):
+            raise ValueError("StackedLSTM.run takes constant inputs, got one that needs a gradient")
+        seq = np.stack([x.data for x in xs], axis=-2)
+        weights = [(cell.W, cell.U, cell.b) for cell in self.cells]
+        if seq.ndim == 2:  # one sequence: a batch of one
+            return ad.reshape(ad.lstm(seq[None], weights), (self.n_hidden,))
+        return ad.lstm(seq, weights)
 
     def params(self) -> list[Tensor]:
         return [p for cell in self.cells for p in cell.params()]

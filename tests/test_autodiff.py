@@ -54,7 +54,7 @@ def test_grad_lstm_two_layers_over_sequence(seed):
 @pytest.mark.parametrize("seed", range(10))
 def test_grad_sigmoid_tanh_concat_index(seed):
     """tanh has no op of its own any more; the fused LSTM tests below
-    check it inside `lstm_gates` and `lstm_hidden`."""
+    check it inside `ad.lstm`."""
     rng = np.random.default_rng(seed)
     a = ad.parameter(rng.normal(size=5), "a")
     b = ad.parameter(rng.normal(size=3), "b")
@@ -154,26 +154,46 @@ def test_frozen_restores_each_flag():
 
 def test_lstm_zero_weights_gives_zero_hidden():
     rng = np.random.default_rng(0)
-    cell = nn.LSTMCell(3, 4, rng, "c")
-    for p in cell.params():
+    net = nn.StackedLSTM(3, 4, 2, rng, "l")
+    for p in net.params():
         p.data[...] = 0.0
-    h, c = cell.step(Tensor(np.ones(3)), Tensor(np.zeros(4)), Tensor(np.zeros(4)))
+    h = net.run([Tensor(np.ones(3))] * 3)
     assert np.array_equal(h.data, np.zeros(4))
 
 
 def test_lstm_saturated_forget_gate():
-    """Forget-gate bias 20 ~ +inf: c' ~ c + i*g to 1e-6."""
+    """Forget-gate bias 20 ~ +inf: the second step's c ~ c + i*g to 1e-6."""
     rng = np.random.default_rng(1)
     cell = nn.LSTMCell(3, 4, rng, "c")
     H = 4
     cell.b.data[H:2 * H] = 20.0
-    x = Tensor(rng.normal(size=3))
-    h0, c0 = Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4))
-    _, c1 = cell.step(x, h0, c0)
-    gates = (x.data @ cell.W.data) + (h0.data @ cell.U.data) + cell.b.data
-    i = 1.0 / (1.0 + np.exp(-gates[0:H]))
-    g = np.tanh(gates[2 * H:3 * H])
-    assert np.max(np.abs(c1.data - (c0.data + i * g))) < 1e-6
+    xs = rng.normal(size=(1, 2, 3))
+    h2 = ad.lstm(xs, [(cell.W, cell.U, cell.b)]).data[0]
+    h, c = np.zeros(H), np.zeros(H)
+    for t, f in enumerate((1.0 / (1.0 + np.exp(-20.0)), 1.0)):  # exact, then saturated
+        z = xs[0, t] @ cell.W.data + h @ cell.U.data + cell.b.data
+        i, o = (1.0 / (1.0 + np.exp(-z[sl])) for sl in (slice(0, H), slice(3 * H, 4 * H)))
+        c = f * c + i * np.tanh(z[2 * H:3 * H])
+        h = o * np.tanh(c)
+    assert np.max(np.abs(h2 - h)) < 1e-6
+
+
+def test_lstm_run_one_sequence_is_a_batch_of_one():
+    rng = np.random.default_rng(2)
+    net = nn.StackedLSTM(3, 4, 2, rng, "l")
+    seq = rng.normal(size=(5, 3))
+    one = net.run([Tensor(x) for x in seq])
+    batch = net.run([Tensor(x[None]) for x in seq])
+    assert one.data.shape == (4,) and np.array_equal(one.data, batch.data[0])
+
+
+def test_lstm_run_refuses_an_input_that_needs_a_gradient():
+    rng = np.random.default_rng(0)
+    net = nn.StackedLSTM(3, 2, 2, rng, "l")
+    p = ad.parameter(rng.normal(size=3), "x")
+    for bad in (p, ad.mul(p, 2.0)):   # a parameter, and a recorded tensor
+        with pytest.raises(ValueError, match="constant inputs"):
+            net.run([Tensor(np.ones(3)), bad])
 
 
 # -- fused layers ---------------------------------------------------------------
@@ -198,19 +218,20 @@ def test_grad_affine(seed, batch):
 @pytest.mark.parametrize("batch", SHAPES)
 @pytest.mark.parametrize("seed", range(5))
 def test_grad_lstm_step(seed, batch):
-    """Both outputs of one step against every input and parameter."""
+    """Every layer's W, U and b through a 4-step, 2-layer pass, on one
+    sequence and on a batch, under a loss that weighs each unit of the final
+    hidden state differently."""
     rng = np.random.default_rng(seed)
-    cell = nn.LSTMCell(3, 4, rng, "c")
-    x = ad.parameter(rng.normal(size=batch + (3,)), "x")
-    h = ad.parameter(rng.normal(size=batch + (4,)), "h")
-    c = ad.parameter(rng.normal(size=batch + (4,)), "c")
-    wc = Tensor(rng.normal(size=batch + (4,)))
+    net = nn.StackedLSTM(3, 4, 2, rng, "l")
+    for cell in net.cells:
+        cell.b.data[...] = rng.normal(size=16)
+    xs = [Tensor(rng.normal(size=batch + (3,))) for _ in range(4)]
+    wh = Tensor(rng.normal(size=batch + (4,)))
 
     def loss():
-        h1, c1 = cell.step(x, h, c)
-        return ad.add(ad.sum_squares(h1), ad.vsum(ad.mul(c1, wc)))
+        return ad.vsum(ad.mul(net.run(xs), wh))
 
-    assert grad_check(loss, [x, h, c, *cell.params()], rng=rng) < TOL
+    assert grad_check(loss, net.params(), rng=rng) < TOL
 
 
 def _sig(z):
@@ -263,81 +284,99 @@ def _same_bits(a, b):
             and np.array_equal(np.signbit(a), np.signbit(b)))
 
 
-@pytest.mark.parametrize("batch", SHAPES)
+def _unfused_lstm_pass(xs, layers, g_out):
+    """A stacked LSTM over xs, (batch, T, n_in), from zero states, and its
+    backward for the gradient g_out of the last top-layer h, one
+    `_unfused_lstm_step` and `_unfused_gates_backward` per step and layer in
+    the tape's order: from the last step back, the top layer first, and
+    each parameter's gradient summed from the last step's term down. A
+    gradient that no consumer sent is -0.0, the identity of +. Returns the
+    last top-layer h and every layer's W, U and b gradient."""
+    batch, T = xs.shape[:2]
+    n = len(layers)
+    H = layers[0][1].shape[0]
+    zero, none = np.zeros((batch, H)), np.full((batch, H), -0.0)
+    ins = []   # per step and layer: x, h and c before the step
+    hs, cs = [zero] * n, [zero] * n
+    with np.errstate(over="ignore"):
+        for t in range(T):
+            x = xs[:, t]
+            for k, (W, U, b) in enumerate(layers):
+                ins.append((x, hs[k], cs[k]))
+                hs[k], cs[k], *_ = _unfused_lstm_step(x, hs[k], cs[k], W, U, b, none, none)
+                x = hs[k]
+        grads = [None] * (3 * n)
+        dh, dc = [none] * n, [none] * n   # from step t + 1
+        for t in reversed(range(T)):
+            up = g_out if t == T - 1 else none   # from the layer above
+            for k in reversed(range(n)):
+                W, U, b = layers[k]
+                x, h, c = ins[t * n + k]
+                _, _, act, d, dc[k] = _unfused_lstm_step(x, h, c, W, U, b, dh[k] + up, dc[k])
+                g = _unfused_gates_backward(act, d, x, h, W, U)
+                for j, name in enumerate("WUb"):
+                    if t == T - 1:
+                        grads[3 * k + j] = g[name]
+                    else:
+                        grads[3 * k + j] += g[name]
+                up, dh[k] = g["x"], g["h"]
+    return hs[-1], grads
+
+
+@pytest.mark.parametrize("batch", [(1,), (3,)])
 @pytest.mark.parametrize("seed", range(10))
 def test_fused_lstm_step_is_bit_identical_to_unfused(seed, batch):
-    """Forward, the gradient each fused node hands back, and the gradients
-    the tape accumulates equal the unfused reference bit for bit, signed
-    zeros included: upstream gradients hold -0.0 entries, and a -0.0
-    pre-activation gradient is stored as +0.0, as the index path stored it."""
+    """`ad.lstm` over 6 steps of 2 layers equals the unfused reference bit
+    for bit, signed zeros included: the last top-layer h, every W, U and b
+    gradient its backward hands back, and the ones the tape accumulates.
+    The upstream gradient holds -0.0 entries, one input column is -0.0, and
+    pre-activations of an input and an output gate unit lie below -709,
+    where the sigmoid is exactly 0.0."""
     rng = np.random.default_rng(seed)
     H = 5
-    cell = nn.LSTMCell(3, H, rng, "c")
-    W, U, b = cell.W, cell.U, cell.b
-    b.data[...] = rng.normal(size=4 * H)
-    x = ad.parameter(rng.normal(size=batch + (3,)), "x")
-    h = ad.parameter(rng.normal(size=batch + (H,)), "h")
-    c = ad.parameter(rng.normal(size=batch + (H,)), "c")
-    gh = rng.normal(size=batch + (H,))
-    gc = rng.normal(size=batch + (H,))
-    gh[..., 0:2] = -0.0
-    gc[..., 1] = -0.0  # entry 1: -0.0 gradients of o and of c_new
+    net = nn.StackedLSTM(3, H, 2, rng, "l")
+    for cell in net.cells:
+        cell.b.data[...] = rng.normal(size=4 * H)
+        cell.b.data[[0, 3 * H + 1]] = -800.0
+    xs = rng.normal(size=batch + (6, 3))
+    xs[..., 2] = -0.0
+    g_out = rng.normal(size=batch + (H,))
+    g_out[..., 0:2] = -0.0
+    weights = [(cell.W, cell.U, cell.b) for cell in net.cells]
 
-    h_ref, c_ref, act, d_ref, dc_ref = _unfused_lstm_step(
-        x.data, h.data, c.data, W.data, U.data, b.data, gh, gc)
-    gates = ad.lstm_gates(x, h, W, U, b)
-    c_new = ad.lstm_cell(c, gates)
-    h_new = ad.lstm_hidden(gates, c_new)
-    assert _same_bits(h_new.data, h_ref) and _same_bits(c_new.data, c_ref)
-    for k, gate in enumerate("ifgo"):
-        assert _same_bits(gates.data[..., k * H:(k + 1) * H], act[gate]), gate
-
-    # each node's backward, on the gradient the tape hands it
-    dgates_o, dc_tanh = h_new._backward(gh)
-    dc, dgates_ifg = c_new._backward(gc + dc_tanh)
-    assert _same_bits(dc, dc_ref)
-    for k, gate in enumerate("ifgo"):
-        got = (dgates_o if gate == "o" else dgates_ifg)[..., k * H:(k + 1) * H]
-        assert _same_bits(got, d_ref[gate]), gate
-    # on gate gradients with -0.0 entries, which the sum above turned to +0.0
-    d_neg = {gate: d_ref[gate].copy() for gate in "ifgo"}
-    for gate in "ifgo":
-        d_neg[gate][..., 0] = -0.0
-    g_ref = _unfused_gates_backward(act, d_neg, x.data, h.data, W.data, U.data)
-    back = gates._backward(np.concatenate([d_neg[gate] for gate in "ifgo"], axis=-1))
-    for name, got in zip(("x", "h", "W", "U", "b"), back):
-        assert _same_bits(got, g_ref[name]), name
-
-    # and through the tape, where each gradient lands on a zeroed .grad
-    g_ref = _unfused_gates_backward(act, d_ref, x.data, h.data, W.data, U.data)
-    g_ref["c"] = dc_ref
-    loss = ad.add(ad.vsum(ad.mul(h_new, Tensor(gh))), ad.vsum(ad.mul(c_new, Tensor(gc))))
-    loss.backward()
-    for name, p in zip("xhcWUb", (x, h, c, W, U, b)):
-        assert _same_bits(p.grad, np.zeros_like(p.data) + g_ref[name]), name
+    layers = [[p.data for p in w] for w in weights]
+    h_ref, g_ref = _unfused_lstm_pass(xs, layers, g_out)
+    h = ad.lstm(xs, weights)
+    assert _same_bits(h.data, h_ref)
+    for p, got, want in zip(net.params(), h._backward(g_out), g_ref):
+        assert _same_bits(got, want), p.name
+    ad.vsum(ad.mul(h, Tensor(g_out))).backward()
+    for p, want in zip(net.params(), g_ref):
+        assert _same_bits(p.grad, np.zeros_like(p.data) + want), p.name
 
 
 def test_constant_inputs_get_no_gradient_work():
     """A parent that is neither a parameter nor recorded (the window
-    inputs, the zero initial states) gets None from the fused nodes'
-    backward, so the tape stores no gradient for it."""
+    inputs, a frozen layer's weights and bias) gets None from the fused
+    nodes' backward, so the tape stores no gradient for it; an LSTM pass
+    keeps its inputs off the tape."""
     rng = np.random.default_rng(0)
     layer = nn.Affine(3, 2, rng, "a")
     x = Tensor(rng.normal(size=(4, 3)))
     out = layer(x)
     assert out._backward(np.ones((4, 2)))[0] is None
     assert nn.Affine(2, 2, rng, "b")(out)._backward(np.ones((4, 2)))[0] is not None
+    frozen = nn.Affine(2, 2, rng, "f")
+    with ad.frozen(frozen.params()):
+        back = frozen(out)._backward(np.ones((4, 2)))
+    assert back[0] is not None and back[1:] == (None, None)
 
-    cell = nn.LSTMCell(3, 2, rng, "c")
-    h0, c0 = Tensor(np.zeros((4, 2))), Tensor(np.zeros((4, 2)))
-    gates = ad.lstm_gates(x, h0, cell.W, cell.U, cell.b)
-    c1 = ad.lstm_cell(c0, gates)
-    assert gates._backward(np.ones((4, 8)))[:2] == (None, None)
-    assert c1._backward(np.ones((4, 2)))[0] is None
-    h1, c1 = cell.step(x, h0, c0)
-    h2, c2 = nn.LSTMCell(2, 2, rng, "d").step(h1, h1, c1)
-    assert all(g is not None for g in h2._parents[0]._backward(np.ones((4, 8))))
-    assert c2._backward(np.ones((4, 2)))[0] is not None
+    net = nn.StackedLSTM(3, 2, 2, rng, "l")
+    h = net.run([x, x])
+    assert h._parents == tuple(net.params())
+    assert all(g is not None for g in h._backward(np.ones((4, 2))))
+    with ad.frozen(net.params()):
+        assert net.run([x, x])._backward is None
 
 
 def test_forward_identical_with_and_without_tape():

@@ -810,18 +810,6 @@ def test_cli_hypothesize_rejects_bad_delta(pipeline, capsys, delta):
     assert "config field set: the delta of trend must be a finite number" in err
 
 
-def test_import_leaves_scipy_stats_out():
-    """calisim needs scipy.linalg and scipy.special only; scipy.stats, the
-    largest import of all, must not be pulled in by any module."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys, calisim, calisim.cli, calisim.harness\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    assert done.stdout.strip() == "[]"
-
-
 def test_import_and_bayes_opt_load_no_scipy():
     """No calisim module imports scipy, at load or when GP-BO fits and
     queries its GP, and GP-BO's result in that fresh process equals the one
