@@ -178,15 +178,6 @@ def test_lstm_saturated_forget_gate():
     assert np.max(np.abs(h2 - h)) < 1e-6
 
 
-def test_lstm_run_one_sequence_is_a_batch_of_one():
-    rng = np.random.default_rng(2)
-    net = nn.StackedLSTM(3, 4, 2, rng, "l")
-    seq = rng.normal(size=(5, 3))
-    one = net.run([Tensor(x) for x in seq])
-    batch = net.run([Tensor(x[None]) for x in seq])
-    assert one.data.shape == (4,) and np.array_equal(one.data, batch.data[0])
-
-
 def test_lstm_run_refuses_an_input_that_needs_a_gradient():
     rng = np.random.default_rng(0)
     net = nn.StackedLSTM(3, 2, 2, rng, "l")
