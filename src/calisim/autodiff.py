@@ -307,7 +307,7 @@ def affine(x, w, b) -> Tensor:
     return _make(x.data @ w.data + b.data, (x, w, b), back)
 
 
-def lstm(xs: np.ndarray, weights: Sequence[tuple[Tensor, Tensor, Tensor]]) -> Tensor:
+def lstm(xs: np.ndarray, weights: Sequence[Sequence[Tensor]]) -> Tensor:
     """The last top-layer hidden state, (batch, H), of a stacked LSTM run from
     zero states over the constant `xs`, (batch, T, n_in).
 

@@ -68,7 +68,7 @@ class StackedLSTM:
         if any(ad.wants_grad(x) for x in xs):
             raise ValueError("StackedLSTM.run takes constant inputs, got one that needs a gradient")
         seq = np.stack([x.data for x in xs], axis=-2)
-        weights = [(cell.W, cell.U, cell.b) for cell in self.cells]
+        weights = [cell.params() for cell in self.cells]
         if seq.ndim == 2:  # one sequence: a batch of one
             return ad.reshape(ad.lstm(seq[None], weights), (self.n_hidden,))
         return ad.lstm(seq, weights)
