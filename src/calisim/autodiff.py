@@ -295,16 +295,61 @@ def _weight_grad(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.outer(x, g) if x.ndim == 1 else x.T @ g
 
 
-def affine(x, w, b) -> Tensor:
-    """x @ w + b for x of shape (n_in,) or (batch, n_in)."""
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+def mlp(x, layers: Sequence[Sequence[Tensor]]) -> Tensor:
+    """h @ W + b for each (W, b) in `layers` in turn, from h = x, with a ReLU
+    between each two layers and none after the last. x is (n_in,) or
+    (batch, n_in); a stack of batches runs forward only. One tape node,
+    whose backward hands x and each W and b the gradient of the chain of
+    affine and relu nodes, with the same ops in the same order; it stops
+    below the lowest layer that wants one, and a frozen layer gets None."""
+    x = as_tensor(x)
+    ins, masks = [x.data], []   # each layer's input; the ReLU masks between layers
+    for w, b in layers[:-1]:
+        h = ins[-1] @ w.data
+        h += b.data
+        mask = h > 0
+        h *= mask
+        ins.append(h)
+        masks.append(mask)
+    w, b = layers[-1]
+    out = ins[-1] @ w.data
+    out += b.data
 
     def back(g):
-        return (g @ w.data.T if wants_grad(x) else None,
-                _weight_grad(x.data, g) if wants_grad(w) else None,
-                _unbroadcast(g, b.data.shape) if wants_grad(b) else None)
+        grads = [None] * (1 + 2 * len(layers))
+        lowest = 0 if wants_grad(x) else next(
+            k for k, layer in enumerate(layers) if any(map(wants_grad, layer)))
+        for k in reversed(range(lowest, len(layers))):
+            w, b = layers[k]
+            if wants_grad(w):
+                grads[1 + 2 * k] = _weight_grad(ins[k], g)
+            if wants_grad(b):
+                grads[2 + 2 * k] = _unbroadcast(g, b.data.shape)
+            if k > lowest:
+                g = g @ w.data.T
+                g *= masks[k - 1]
+        if wants_grad(x):
+            grads[0] = g @ layers[0][0].data.T
+        return tuple(grads)
 
-    return _make(x.data @ w.data + b.data, (x, w, b), back)
+    return _make(out, (x, *(p for layer in layers for p in layer)), back)
+
+
+def mse(pred, target) -> Tensor:
+    """The mean over rows of the row-summed squared error of `pred` against
+    `target`, a row being the last axis: the node of
+    mean(vsum(square(sub(pred, target)), axis=-1)), with its op order."""
+    pred, target = as_tensor(pred), as_tensor(target)
+    d = pred.data - target.data
+    rows = (d * d).sum(axis=-1)
+    scale = 1.0 / rows.size
+
+    def back(g):
+        gd = (g * scale) * 2.0 * d
+        return (gd if wants_grad(pred) else None,
+                -gd if wants_grad(target) else None)
+
+    return _make(rows.sum() * scale, (pred, target), back)
 
 
 def lstm(xs: np.ndarray, weights: Sequence[Sequence[Tensor]]) -> Tensor:

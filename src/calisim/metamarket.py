@@ -80,7 +80,7 @@ class MetaMarket:
 
     def analyze(self, x: Tensor) -> Tensor:
         """theta2 = g_omega(x): the estimator's weights and bias."""
-        return self.a3(ad.relu(self.a2(ad.relu(self.a1(x)))))
+        return nn.mlp(x, [self.a1, self.a2, self.a3])
 
     @staticmethod
     def estimate(u: Tensor, theta2: Tensor) -> Tensor:
@@ -129,10 +129,11 @@ class MetaMarket:
     @staticmethod
     def load(path: Path) -> "MetaMarket":
         tensors = ad.load_tensors(path)
-        k = MetaMarket(int(tensors["mm.fund_dim"][0]), np.random.default_rng(0),
-                       FeatureNormalizer.from_tensors(tensors, "mm.feat_norm"),
-                       FeatureNormalizer.from_tensors(tensors, "mm.state_norm"))
-        nn.load_into(k.params(), tensors)
+        with nn.checkpoint_errors(path):
+            k = MetaMarket(int(tensors["mm.fund_dim"][0]), np.random.default_rng(0),
+                           FeatureNormalizer.from_tensors(tensors, "mm.feat_norm"),
+                           FeatureNormalizer.from_tensors(tensors, "mm.state_norm"))
+            nn.load_into(k.params(), tensors)
         return k
 
 
@@ -143,8 +144,7 @@ def loss_repr(b_norm_hat: Tensor, fund_norm: np.ndarray, target_z: np.ndarray,
               surrogate: SurrogateNet) -> Tensor:
     """Mean over samples of the squared z-space reproduction error."""
     pred = surrogate.forward(b_norm_hat, Tensor(np.asarray(fund_norm, dtype=float)))
-    err = ad.square(ad.sub(pred, Tensor(np.asarray(target_z, dtype=float))))
-    return ad.mean(ad.vsum(err, axis=1))
+    return ad.mse(pred, np.asarray(target_z, dtype=float))
 
 
 def loss_temp(b_norm_seq: Tensor) -> Tensor:

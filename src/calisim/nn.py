@@ -1,10 +1,12 @@
 """Trainable building blocks on top of the autodiff core.
 
-Affine layers, a stacked LSTM, and parameter-collection helpers shared by
-the surrogate net and the calibrator.
+Affine layers and their ReLU stacks, a stacked LSTM, and parameter-collection
+and checkpoint helpers shared by the surrogate net and the calibrator.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -25,10 +27,15 @@ class Affine:
         self.b = ad.parameter(np.zeros(n_out), f"{name}.b")
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.affine(x, self.W, self.b)
+        return ad.mlp(x, [self.params()])
 
     def params(self) -> list[Tensor]:
         return [self.W, self.b]
+
+
+def mlp(x: Tensor, layers: list[Affine]) -> Tensor:
+    """`layers` in turn with a ReLU between each two, as one tape node."""
+    return ad.mlp(x, [layer.params() for layer in layers])
 
 
 class LSTMCell:
@@ -98,8 +105,21 @@ def named_params(params: list[Tensor]) -> dict[str, np.ndarray]:
 def load_into(params: list[Tensor], tensors: dict[str, np.ndarray]):
     for p in params:
         if p.name not in tensors:
-            raise KeyError(f"checkpoint missing tensor {p.name}")
+            raise KeyError(p.name)
         arr = tensors[p.name]
         if arr.shape != p.data.shape:
             raise ValueError(f"shape mismatch for {p.name}: {arr.shape} vs {p.data.shape}")
         p.data[...] = arr
+
+
+@contextmanager
+def checkpoint_errors(path):
+    """Re-raise a missing tensor (KeyError) or a shape mismatch (ValueError)
+    met while building a model from the checkpoint at `path` as ValueError
+    naming the path."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{path}: checkpoint missing tensor {exc.args[0]}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

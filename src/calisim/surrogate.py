@@ -53,11 +53,8 @@ class SurrogateNet:
 
     def forward(self, b_norm: Tensor, fund_norm: Tensor) -> Tensor:
         """z-space feature prediction; differentiable w.r.t. b_norm."""
-        femb = ad.relu(self.f2(ad.relu(self.f1(fund_norm))))
-        h = ad.concat([b_norm, femb])
-        for layer in self.trunk[:-1]:
-            h = ad.relu(layer(h))
-        return self.trunk[-1](h)
+        femb = ad.relu(nn.mlp(fund_norm, [self.f1, self.f2]))
+        return nn.mlp(ad.concat([b_norm, femb]), self.trunk)
 
     def predict(self, b_norm: np.ndarray, fund_norm: np.ndarray) -> np.ndarray:
         b_norm = np.asarray(b_norm, dtype=float)
@@ -77,10 +74,10 @@ class SurrogateNet:
     @staticmethod
     def load(path: Path) -> "SurrogateNet":
         tensors = ad.load_tensors(path)
-        fund_dim = int(tensors["sur.fund_dim"][0])
-        net = SurrogateNet(fund_dim, np.random.default_rng(0),
-                           FeatureNormalizer.from_tensors(tensors, "sur.norm"))
-        nn.load_into(net.params(), tensors)
+        with nn.checkpoint_errors(path):
+            net = SurrogateNet(int(tensors["sur.fund_dim"][0]), np.random.default_rng(0),
+                               FeatureNormalizer.from_tensors(tensors, "sur.norm"))
+            nn.load_into(net.params(), tensors)
         return net
 
 
@@ -150,8 +147,7 @@ class TrainCurves:
 
 def _batch_loss(net: SurrogateNet, b: np.ndarray, f: np.ndarray,
                 q: np.ndarray) -> Tensor:
-    pred = net.forward(Tensor(b), Tensor(f))
-    return ad.mean(ad.vsum(ad.square(ad.sub(pred, Tensor(q))), axis=1))
+    return ad.mse(net.forward(Tensor(b), Tensor(f)), q)
 
 
 def train_surrogate(ds: SurrogateDataset, epochs: int, lr: float = 1e-3,
@@ -165,11 +161,13 @@ def train_surrogate(ds: SurrogateDataset, epochs: int, lr: float = 1e-3,
         raise ValueError("dataset needs non-empty train and validation splits")
     net = SurrogateNet(ds.fund_norm.shape[1], rng, ds.norm)
 
-    def eval_loss(b, f, q) -> float:
+    def log_losses():
         with ad.frozen(net.params()):
-            return _batch_loss(net, b, f, q).item()
+            curves.train_loss.append(_batch_loss(net, tb, tf, tq).item())
+            curves.val_loss.append(_batch_loss(net, vb, vf, vq).item())
 
-    curves = TrainCurves([eval_loss(tb, tf, tq)], [eval_loss(vb, vf, vq)], 0)
+    curves = TrainCurves([], [], 0)
+    log_losses()
     best = (curves.val_loss[0], {k: v.copy() for k, v in nn.named_params(net.params()).items()})
     n = len(tq)
     with ad.Adam(net.params(), lr=lr) as opt:
@@ -180,8 +178,7 @@ def train_surrogate(ds: SurrogateDataset, epochs: int, lr: float = 1e-3,
                 opt.zero_grad()
                 _batch_loss(net, tb[idx], tf[idx], tq[idx]).backward()
                 opt.step()
-            curves.train_loss.append(eval_loss(tb, tf, tq))
-            curves.val_loss.append(eval_loss(vb, vf, vq))
+            log_losses()
             if curves.val_loss[-1] < best[0]:
                 best = (curves.val_loss[-1],
                         {k: v.copy() for k, v in nn.named_params(net.params()).items()})

@@ -22,7 +22,7 @@ def test_relu_sigmoid_values():
 
 def test_affine_identity():
     x = Tensor([1.0, -2.0, 3.0])
-    out = ad.affine(x, Tensor(np.eye(3)), Tensor(np.zeros(3)))
+    out = ad.mlp(x, [(Tensor(np.eye(3)), Tensor(np.zeros(3)))])
     assert np.array_equal(out.data, x.data)
 
 
@@ -201,9 +201,33 @@ def test_grad_affine(seed, batch):
     b = ad.parameter(rng.normal(size=3), "b")
 
     def loss():
-        return ad.sum_squares(ad.affine(x, w, b))
+        return ad.sum_squares(ad.mlp(x, [(w, b)]))
 
     assert grad_check(loss, [x, w, b], rng=rng) < TOL
+
+
+def _mlp_layers(rng, widths):
+    return [(ad.parameter(rng.normal(size=(m, n)), f"w{k}"),
+             ad.parameter(rng.normal(size=n), f"b{k}"))
+            for k, (m, n) in enumerate(zip(widths, widths[1:]))]
+
+
+def _flat(layers):
+    return [p for layer in layers for p in layer]
+
+
+@pytest.mark.parametrize("batch", SHAPES)
+@pytest.mark.parametrize("seed", range(5))
+def test_grad_mlp_and_mse(seed, batch):
+    """x and every layer's W and b through a 3-layer stack, under a sum of
+    squares and under the squared error against a fixed target."""
+    rng = np.random.default_rng(seed)
+    x = ad.parameter(rng.normal(size=batch + (4,)), "x")
+    layers = _mlp_layers(rng, (4, 6, 5, 3))
+    target = rng.normal(size=batch + (3,))
+    params = [x, *_flat(layers)]
+    assert grad_check(lambda: ad.sum_squares(ad.mlp(x, layers)), params, rng=rng) < TOL
+    assert grad_check(lambda: ad.mse(ad.mlp(x, layers), target), params, rng=rng) < TOL
 
 
 @pytest.mark.parametrize("batch", SHAPES)
@@ -344,6 +368,143 @@ def test_fused_lstm_step_is_bit_identical_to_unfused(seed, batch):
     ad.vsum(ad.mul(h, Tensor(g_out))).backward()
     for p, want in zip(net.params(), g_ref):
         assert _same_bits(p.grad, np.zeros_like(p.data) + want), p.name
+
+
+def _unfused_mlp_forward(x, layers):
+    """The chain of affine and relu nodes in numpy, op for op as the tape
+    computed it: its output, each layer's input and the ReLU masks."""
+    ins, masks = [x], []
+    for W, b in layers[:-1]:
+        z = ins[-1] @ W + b
+        masks.append(z > 0)
+        ins.append(z * masks[-1])
+    W, b = layers[-1]
+    return ins[-1] @ W + b, ins, masks
+
+
+def _unfused_mlp(x, layers, g_out):
+    """The chain's output and its backward for the gradient g_out of the
+    output, node by node from the top: each affine node's x, W and b
+    gradients, then the relu node's. Returns the output and the gradients
+    of x and of every W and b, in `ad.mlp`'s parent order."""
+    out, ins, masks = _unfused_mlp_forward(x, layers)
+    grads, g = [], g_out
+    for k in reversed(range(len(layers))):
+        W, _ = layers[k]
+        grads[:0] = [np.outer(ins[k], g) if g.ndim == 1 else ins[k].T @ g,
+                     g if g.ndim == 1 else g.sum(axis=0)]
+        g = g @ W.T
+        if k:
+            g = g * masks[k - 1]
+    return out, [g, *grads]
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (6,)])
+@pytest.mark.parametrize("seed", range(5))
+def test_mlp_is_bit_identical_to_unfused(seed, batch):
+    """`ad.mlp` over 3 layers equals the chain of affine and relu nodes bit
+    for bit, signed zeros included: the output, every gradient its backward
+    hands back and the ones the tape accumulates. The upstream gradient
+    holds -0.0 entries, an input column is -0.0, and one first-layer unit
+    sits on the ReLU's kink."""
+    rng = np.random.default_rng(seed)
+    x = ad.parameter(rng.normal(size=batch + (4,)), "x")
+    x.data[..., 1] = -0.0
+    layers = _mlp_layers(rng, (4, 6, 5, 3))
+    layers[0][0].data[:, 2] = 0.0
+    layers[0][1].data[2] = 0.0
+    g_out = rng.normal(size=batch + (3,))
+    g_out[..., 0] = -0.0
+    params = [x, *_flat(layers)]
+
+    out_ref, g_ref = _unfused_mlp(x.data, [[p.data for p in layer] for layer in layers], g_out)
+    out = ad.mlp(x, layers)
+    assert _same_bits(out.data, out_ref)
+    for p, got, want in zip(params, out._backward(g_out), g_ref):
+        assert _same_bits(got, want), p.name
+    ad.vsum(ad.mul(out, Tensor(g_out))).backward()
+    for p, want in zip(params, g_ref):
+        assert _same_bits(p.grad, np.zeros_like(p.data) + want), p.name
+
+
+def test_mlp_forward_over_a_stack_of_batches():
+    """The (n, 1, d) stack that the metamarket epoch log feeds the frozen
+    surrogate: the output equals the unfused chain's, and each row a lone
+    row's, bit for bit."""
+    rng = np.random.default_rng(4)
+    layers = _mlp_layers(rng, (4, 6, 5, 3))
+    xs = rng.normal(size=(7, 1, 4))
+    with ad.frozen(_flat(layers)):
+        out = ad.mlp(Tensor(xs), layers)
+        rows = [ad.mlp(Tensor(xs[i]), layers).data for i in range(len(xs))]
+    assert out._backward is None
+    assert _same_bits(out.data, _unfused_mlp_forward(xs, [[p.data for p in layer]
+                                                          for layer in layers])[0])
+    assert _same_bits(out.data, np.stack(rows))
+
+
+def _probe(t, seen):
+    """t's value as a node whose backward records the gradient reaching it."""
+    def back(g):
+        seen.append(g.copy())
+        return (g,)
+    return ad._make(t.data, (t,), back)
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (6,)])
+@pytest.mark.parametrize("weight", [1.0, -0.0, 0.37])
+def test_mse_is_bit_identical_to_unfused(batch, weight):
+    """`ad.mse` equals mean(vsum(square(sub(pred, target)), axis=-1)) on the
+    tape bit for bit: the value and the gradients reaching pred and target,
+    signed zeros included, under a loss weight of 1, -0.0 and 0.37."""
+    rng = np.random.default_rng(len(batch))
+    pred = ad.parameter(rng.normal(size=batch + (13,)), "pred")
+    target = ad.parameter(rng.normal(size=batch + (13,)), "target")
+    target.data[..., 0] = pred.data[..., 0]   # a zero error
+
+    def run(loss_fn):
+        seen_p, seen_t = [], []
+        loss = loss_fn(_probe(pred, seen_p), _probe(target, seen_t))
+        ad.mul(loss, weight).backward()
+        return loss.data, seen_p[0], seen_t[0]
+
+    fused = run(ad.mse)
+    chain = run(lambda p, t: ad.mean(ad.vsum(ad.square(ad.sub(p, t)), axis=-1)))
+    for got, want in zip(fused, chain):
+        assert _same_bits(got, want)
+
+
+def test_mlp_and_mse_skip_constants_and_frozen_layers():
+    """`ad.mlp`'s backward gives None to a constant input and to a frozen
+    layer, and still passes the gradient through a frozen layer to the
+    layers below it; `ad.mse`'s gives None to a constant target. Over
+    frozen parameters and constant inputs neither records a node."""
+    rng = np.random.default_rng(0)
+    layers = _mlp_layers(rng, (4, 6, 5, 3))
+    x = Tensor(rng.normal(size=(2, 4)))
+    g = rng.normal(size=(2, 3))
+    full = ad.mlp(x, layers)._backward(g)
+    assert full[0] is None and all(p is not None for p in full[1:])
+    for frozen_layer in range(3):
+        with ad.frozen(layers[frozen_layer]):
+            back = ad.mlp(x, layers)._backward(g)
+        for k in range(3):
+            for j in (1, 2):
+                got = back[2 * k + j]
+                if k == frozen_layer:
+                    assert got is None
+                else:
+                    assert _same_bits(got, full[2 * k + j])
+    recorded = ad.mul(ad.parameter(x.data, "x"), 1.0)
+    with ad.frozen(_flat(layers)):
+        back = ad.mlp(recorded, layers)._backward(g)
+        assert back[0] is not None and all(p is None for p in back[1:])
+        out = ad.mlp(x, layers)
+        assert out._backward is None and out._parents == ()
+    pred = ad.parameter(rng.normal(size=(2, 3)), "pred")
+    assert ad.mse(pred, g)._backward(np.asarray(1.0))[1] is None
+    loss = ad.mse(Tensor(pred.data), g)
+    assert loss._backward is None and loss._parents == ()
 
 
 def test_constant_inputs_get_no_gradient_work():

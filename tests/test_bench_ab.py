@@ -161,3 +161,31 @@ def test_detail_medians_give_the_host_factor_beside_raw_times():
     assert medians["change"]["randsearch_ms_per_day"] == 414.144
     scaled = {r["side"]: r["result"]["metrics"]["ms_per_op"]["value"] for r in runs}
     assert scaled["change"] < scaled["parent"]
+
+
+def test_detail_pair_ratios_scale_each_run_by_its_host_factor():
+    """Each run's layer time times its median host factor, paired: the
+    change's surrogate epoch reads slower raw (0.70 against 0.66 ms) on a
+    host the probe found slower (factor 0.8 against 1.0), so every pair's
+    ratio is 0.56 / 0.66; its metamarket epoch wins only the first 3 pairs,
+    and its random-search day none. A detail that is not a per-epoch or
+    per-day time is left out."""
+    runs = []
+    for i in range(bench_ab.PAIRS):
+        runs.append({"workload": "train", "pair": i, "side": "parent",
+                     "host_factors": [1.0, 1.2, 0.9],
+                     "detail": {"peak_rss_mb": 70.0, "surrogate_ms_per_epoch": 0.66,
+                                "metamarket_ms_per_epoch": 33.0,
+                                "randsearch_ms_per_day": 376.0}})
+        runs.append({"workload": "train", "pair": i, "side": "change",
+                     "host_factors": [0.8, 0.7, 1.0],
+                     "detail": {"peak_rss_mb": 60.0, "surrogate_ms_per_epoch": 0.70,
+                                "metamarket_ms_per_epoch": 40.0 + 0.5 * i,
+                                "randsearch_ms_per_day": 480.0}})
+    ratios = bench_ab.detail_pair_ratios(runs)
+    assert set(ratios) == {"train"}
+    assert ratios["train"] == {
+        "surrogate_ms_per_epoch": {"median_ratio": 0.8485, "pairs_below_1": 10, "n_pairs": 10},
+        "metamarket_ms_per_epoch": {"median_ratio": 1.0242, "pairs_below_1": 3, "n_pairs": 10},
+        "randsearch_ms_per_day": {"median_ratio": 1.0213, "pairs_below_1": 0, "n_pairs": 10},
+    }

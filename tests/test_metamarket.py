@@ -1,6 +1,7 @@
 """One-shot calibrator: hypernetwork wiring, the three losses (including
 selective gradient flow), training machinery, and persistence."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -433,6 +434,31 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(back.infer(win, x).as_array(), k.infer(win, x).as_array())
     assert np.array_equal(back.feat_norm.mean, k.feat_norm.mean)
     assert np.array_equal(back.state_norm.std, k.state_norm.std)
+
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("dropped", "checkpoint missing tensor mm.a2.W"),
+    ("reshaped", "shape mismatch for mm.a2.W: (3, 3) vs (200, 100)"),
+    ("surrogate's", "checkpoint missing tensor mm.fund_dim"),
+], ids=["dropped", "reshaped", "surrogate"])
+def test_load_of_a_wrong_checkpoint_names_the_file(tmp_path, fault, message):
+    """A checkpoint that parses but does not fit the calibrator (a tensor
+    dropped or reshaped, or the surrogate's checkpoint) raises ValueError
+    naming its path."""
+    path = tmp_path / "mm.ck"
+    if fault == "surrogate's":
+        make_surrogate().save(path)
+    else:
+        make_k().save(path)
+        tensors = ad.load_tensors(path)
+        if fault == "dropped":
+            del tensors["mm.a2.W"]
+        else:
+            tensors["mm.a2.W"] = np.zeros((3, 3))
+        ad.save_tensors(path, tensors)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        MetaMarket.load(path)
 
 
 def test_calibration_csv_roundtrip(tmp_path):

@@ -3,6 +3,8 @@ input, dataset construction accounting, and training-machinery checks on
 synthetic data (the full simulator-driven fit is covered by the
 acceptance suite)."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from calisim import autodiff as ad
 from calisim import surrogate as sur
 from calisim.autodiff import Tensor
 from calisim.features import FeatureNormalizer
+from calisim.metamarket import MetaMarket
 from calisim.simulator import FundamentalSeries, SimConfig
 from calisim.surrogate import (
     SurrogateDataset,
@@ -103,6 +106,33 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(back.norm.mean, net.norm.mean)
     b, f = rng.random(5), rng.normal(size=FUND_DIM)
     assert np.array_equal(back.predict(b, f), net.predict(b, f))
+
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("dropped", "checkpoint missing tensor sur.t1.W"),
+    ("reshaped", "shape mismatch for sur.t1.W: (3, 3) vs (50, 100)"),
+    ("calibrator's", "checkpoint missing tensor sur.fund_dim"),
+], ids=["dropped", "reshaped", "calibrator"])
+def test_load_of_a_wrong_checkpoint_names_the_file(tmp_path, fault, message):
+    """A checkpoint that parses but does not fit the net (a tensor dropped
+    or reshaped, or the calibrator's checkpoint) raises ValueError naming
+    its path."""
+    rng = np.random.default_rng(6)
+    path = tmp_path / "sur.ck"
+    if fault == "calibrator's":
+        state_norm = FeatureNormalizer(np.zeros(5), np.ones(5))
+        MetaMarket(FUND_DIM, rng, unit_norm(), state_norm).save(path)
+    else:
+        SurrogateNet(FUND_DIM, rng, unit_norm()).save(path)
+        tensors = ad.load_tensors(path)
+        if fault == "dropped":
+            del tensors["sur.t1.W"]
+        else:
+            tensors["sur.t1.W"] = np.zeros((3, 3))
+        ad.save_tensors(path, tensors)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        SurrogateNet.load(path)
 
 
 # -- dataset construction -----------------------------------------------------------

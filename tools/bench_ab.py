@@ -30,7 +30,11 @@ per workload, as `child_rusage_medians` and `detail_medians`; they explain
 a verdict (train's peak RSS grows with its rounds) and are not one. The
 detail times are raw wall times, not host-scaled: `detail_medians` gives
 each side's median host speed factor beside them, and two sides' raw
-times compare only where those factors are close. A metric's verdict is
+times compare only where those factors are close. For a layer-level
+claim, `detail_pair_ratios` gives per workload and `*_ms_per_epoch` or
+`*_ms_per_day` time the median over pairs of the change's time over the
+parent's, each run's time first multiplied by its median host factor, and
+the pairs in which that ratio is below 1. A metric's verdict is
 "better" when the change wins at least 9 pairs in 10 and the medians
 differ by more than the parent's quartile spread, "worse" for the mirror
 image, and "unresolved" otherwise; it is never "better" when a change
@@ -68,6 +72,7 @@ _DIGEST = re.compile(r"^digest (\S+)$")
 _ROUNDS = re.compile(r"\brounds (\d+)\b")
 _HOST = re.compile(r"host speed factor by round: ([\d. ]+)")
 _DETAIL = re.compile(r"^  (\S+) +(\S+) \S+$")
+_LAYER_TIME = re.compile(r"_ms_per_(epoch|day)$")   # the detail times paired by layer
 
 
 def _git(*args: str) -> str:
@@ -141,6 +146,41 @@ def detail_medians(pairs: list[dict]) -> dict:
                                            **r["detail"]})
 
 
+def _by_pair(pairs: list[dict], workload: str) -> dict[int, dict[str, dict]]:
+    """The runs of `workload`, by pair and then side."""
+    by_pair: dict[int, dict[str, dict]] = {}
+    for r in pairs:
+        if r["workload"] == workload:
+            by_pair.setdefault(r["pair"], {})[r["side"]] = r
+    return by_pair
+
+
+def detail_pair_ratios(pairs: list[dict]) -> dict:
+    """Per workload and `*_ms_per_epoch` or `*_ms_per_day` detail time, the
+    median over pairs of the change's time over the parent's and the pairs
+    in which that ratio is below 1: paired evidence for a layer-level claim.
+    Each run's raw time is first multiplied by its median host speed
+    factor, as perfbench scales `ms_per_op`."""
+    def scaled(run, key):
+        return run["detail"][key] * median(run["host_factors"])
+
+    out = {}
+    for workload in WORKLOADS:
+        by_pair = _by_pair(pairs, workload)
+        if not by_pair:
+            continue
+        keys = [k for k in next(iter(by_pair.values()))["parent"]["detail"]
+                if _LAYER_TIME.search(k)]
+        out[workload] = {}
+        for key in keys:
+            ratios = [scaled(p["change"], key) / scaled(p["parent"], key)
+                      for p in by_pair.values()]
+            out[workload][key] = {"median_ratio": round(median(ratios), 4),
+                                  "pairs_below_1": sum(r < 1.0 for r in ratios),
+                                  "n_pairs": len(ratios)}
+    return out
+
+
 def _quartiles(values: list[float]) -> list[float]:
     q25, q50, q75 = quantiles(values, n=4, method="inclusive")
     return [round(q25, 3), round(q50, 3), round(q75, 3)]
@@ -154,12 +194,9 @@ def summarize(pairs: list[dict], bounds: dict[str, float]) -> dict:
     change fails a check in any run or a larger share of operations."""
     out = {}
     for workload in WORKLOADS:
-        runs = [r for r in pairs if r["workload"] == workload]
-        if not runs:
+        by_pair = _by_pair(pairs, workload)
+        if not by_pair:
             continue
-        by_pair: dict[int, dict[str, dict]] = {}
-        for r in runs:
-            by_pair.setdefault(r["pair"], {})[r["side"]] = r
         digests_equal = all(p["parent"]["digest"] == p["change"]["digest"]
                             for p in by_pair.values())
         failed = {side: [sum(p[side]["result"][key] for p in by_pair.values())
@@ -282,6 +319,7 @@ def main(argv=None) -> int:
         "summary": summarize(pairs, bounds),
         "child_rusage_medians": rusage_medians(pairs),
         "detail_medians": detail_medians(pairs),
+        "detail_pair_ratios": detail_pair_ratios(pairs),
         "wall_s": round(time.perf_counter() - t0, 1),
         "pairs": pairs,
     }
