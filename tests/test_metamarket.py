@@ -436,7 +436,6 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(back.state_norm.std, k.state_norm.std)
 
 
-
 @pytest.mark.parametrize("fault, message", [
     ("dropped", "checkpoint missing tensor mm.a2.W"),
     ("reshaped", "shape mismatch for mm.a2.W: (3, 3) vs (200, 100)"),

@@ -108,7 +108,6 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(back.predict(b, f), net.predict(b, f))
 
 
-
 @pytest.mark.parametrize("fault, message", [
     ("dropped", "checkpoint missing tensor sur.t1.W"),
     ("reshaped", "shape mismatch for sur.t1.W: (3, 3) vs (50, 100)"),
